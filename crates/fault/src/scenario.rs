@@ -48,6 +48,14 @@ pub fn candidate_links(size: Size, filter: KindFilter) -> Vec<Link> {
     links
 }
 
+/// `candidate_links(size, filter).len()` in closed form, without building
+/// the `3·N·n`-link list: every switch of every stage contributes one link
+/// per admitted kind.
+pub fn candidate_count(size: Size, filter: KindFilter) -> usize {
+    let kinds = LinkKind::ALL.iter().filter(|&&k| filter.admits(k)).count();
+    size.stages() * size.n() * kinds
+}
+
 /// Blocks exactly `count` distinct links chosen uniformly at random among
 /// those admitted by `filter`.
 ///
@@ -115,6 +123,24 @@ mod tests {
             2 * 8 * 3
         );
         assert_eq!(candidate_links(s, KindFilter::StraightOnly).len(), 8 * 3);
+    }
+
+    #[test]
+    fn candidate_count_is_the_list_length() {
+        for n in [2, 4, 8, 16, 32, 64] {
+            let size = Size::new(n).unwrap();
+            for filter in [
+                KindFilter::Any,
+                KindFilter::NonstraightOnly,
+                KindFilter::StraightOnly,
+            ] {
+                assert_eq!(
+                    candidate_count(size, filter),
+                    candidate_links(size, filter).len(),
+                    "N={n} {filter:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -303,6 +329,19 @@ impl ScenarioSpec {
         matches!(
             self,
             ScenarioSpec::RandomLinks { .. } | ScenarioSpec::Bernoulli { .. }
+        )
+    }
+
+    /// Does [`ScenarioSpec::realize`] return the healthy map
+    /// (`BlockageMap::new(size)`) for every seed? True of `None` and of
+    /// the transient recipes (`Mtbf`, `Outage`), whose faults all arrive
+    /// mid-run through [`ScenarioSpec::timeline`]. Campaign engines use
+    /// this to share one healthy map + route table per size across all
+    /// of them.
+    pub fn realizes_healthy(&self) -> bool {
+        matches!(
+            self,
+            ScenarioSpec::None | ScenarioSpec::Mtbf { .. } | ScenarioSpec::Outage { .. }
         )
     }
 

@@ -46,6 +46,22 @@ pub fn mix(seed: u64, stream: u64) -> u64 {
     SplitMix64::new(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }
 
+/// The integer threshold of a Bernoulli(`p`) trial: for every draw `x`,
+/// `(x >> 11) < bernoulli_threshold(p)` equals [`Rng::gen_bool`]`(p)` on
+/// that same draw. `gen_bool` compares `(x >> 11) as f64 * 2^-53 < p`;
+/// scaling both sides by `2^53` is exact (a power-of-two multiply), and
+/// an integer is below a real iff it is below the real's ceiling — so a
+/// hot loop can skip the int-to-float conversion and consume the
+/// identical stream.
+///
+/// # Panics
+///
+/// Panics unless `0.0 <= p <= 1.0`.
+pub fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// xoshiro256++ — the workspace's standard generator: 256 bits of state,
 /// period `2^256 - 1`, fast and equidistributed far beyond what the
 /// experiments draw.

@@ -1389,35 +1389,82 @@ impl Simulator {
         let mut any = false;
         for i in 0..wl.buffer.len() {
             let inj = wl.buffer[i];
-            let (s, dest) = (inj.source as usize, inj.dest as usize);
-            self.stats.injected += 1;
-            if self.policy == RoutingPolicy::TsdtSender {
-                match self.sender_tag(s, dest) {
-                    Some(tag) => {
-                        if tag.state_bits() != 0 {
-                            self.stats.reroutes += 1;
-                        }
-                        self.source_queues[s]
-                            .push_back(Packet::with_tag(dest, self.cycle, tag).with_op(inj.op));
-                        self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                        any = true;
-                    }
-                    None => {
-                        self.stats.refused += 1;
-                        if inj.op != NO_OP {
-                            wl.source.on_lost(inj.op, self.cycle, &mut wl.rng);
-                        }
-                    }
-                }
-            } else {
-                self.source_queues[s].push_back(Packet::new(dest, self.cycle).with_op(inj.op));
-                self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                any = true;
+            let queued = self.inject(inj.source as usize, inj.dest as usize, inj.op, 0);
+            any |= queued;
+            if !queued && inj.op != NO_OP {
+                wl.source.on_lost(inj.op, self.cycle, &mut wl.rng);
             }
         }
         wl.buffer.clear();
         self.workload = Some(wl);
         any
+    }
+
+    /// The open-loop arrivals phase, shared by both engines and both
+    /// switching modes: one Bernoulli(`offered_load`) trial per source in
+    /// ascending order, each hit followed by its destination draw. Every
+    /// source consumes its trial whether or not a packet arrives, so the
+    /// scan costs `N` draws per cycle at any load. The trial is the
+    /// integer form of `gen_bool` ([`iadm_rng::bernoulli_threshold`]):
+    /// same RNG consumption, same accept set, no int-to-float conversion.
+    /// It runs on a local copy of the generator, so the 256-bit state
+    /// lives in registers across the (at low load overwhelmingly missed)
+    /// loop instead of round-tripping through `self` on every draw; the
+    /// state is written back after. `flits` is the packet length the flit
+    /// counters charge (0 under store-and-forward). Returns whether any
+    /// source queue gained a packet (the event engine arms admission on
+    /// it).
+    #[inline]
+    fn open_loop_arrivals(&mut self, flits: u32) -> bool {
+        let size = self.config.size;
+        let threshold = iadm_rng::bernoulli_threshold(self.config.offered_load);
+        let mut rng = self.rng.clone();
+        let mut any = false;
+        for s in 0..size.n() {
+            if (rng.next_u64() >> 11) < threshold {
+                let dest = self.pattern.destination(size, s, &mut rng);
+                any |= self.inject(s, dest, NO_OP, flits);
+            }
+        }
+        self.rng = rng;
+        any
+    }
+
+    /// Queues one arrival from source `s` to `dest`, stamped with
+    /// workload operation `op` ([`NO_OP`] for open-loop traffic) and
+    /// tagged by the sender under `TsdtSender`, which refuses a pair no
+    /// blockage-free path connects. `flits` is charged to the flit
+    /// counters. Returns whether the source queue gained the packet.
+    /// Kept inline: outlining it as `#[cold]` measured slower on the
+    /// N = 8192 low-load workload (DESIGN.md §9).
+    #[inline]
+    fn inject(&mut self, s: usize, dest: usize, op: u32, flits: u32) -> bool {
+        self.stats.injected += 1;
+        self.stats.flits_injected += u64::from(flits);
+        let packet = if self.policy == RoutingPolicy::TsdtSender {
+            // The sender consults the controller's blockage map (through
+            // the per-source tag cache).
+            match self.sender_tag(s, dest) {
+                Some(tag) => {
+                    // A nonzero state word means REROUTE steered around
+                    // at least one blockage.
+                    if tag.state_bits() != 0 {
+                        self.stats.reroutes += 1;
+                    }
+                    Packet::with_tag(dest, self.cycle, tag)
+                }
+                None => {
+                    self.stats.refused += 1;
+                    self.stats.flits_refused += u64::from(flits);
+                    return false;
+                }
+            }
+        } else {
+            Packet::new(dest, self.cycle)
+        };
+        self.source_queues[s].push_back(packet.with_op(op));
+        self.source_bits[s >> 6] |= 1u64 << (s & 63);
+        true
     }
 
     /// Decides which output buffer of switch `sw` at `stage` a packet
@@ -1528,8 +1575,13 @@ impl Simulator {
                 // exist, so the original scan would have decided nothing.
                 continue;
             }
-            // Rotating input priority per receiving switch.
-            self.accepted[..n].fill(0);
+            // Rotating input priority per receiving switch: the accept
+            // counters start every busy stage zeroed (restored at the end
+            // of the previous one).
+            debug_assert!(
+                self.accepted[..n].iter().all(|&a| a == 0),
+                "accept counters not reset before stage {stage}"
+            );
             let row = stage * n;
             let exit = stage + 1 == stages;
             // Gather the busy switches in the same rotated order the
@@ -1652,6 +1704,20 @@ impl Simulator {
                     }
                 }
             }
+            // Reset the accept counters this stage touched. Only the
+            // targets of the gathered switches can have been counted, so
+            // a sparse stage zeroes those (three per switch) instead of
+            // all `N`; a busy one, where that costs more than the fill,
+            // clears the whole row.
+            if live.len() <= words {
+                for &sw in &live {
+                    for kind in LinkKind::ALL {
+                        self.accepted[kind.target(size, stage, sw as usize)] = 0;
+                    }
+                }
+            } else {
+                self.accepted[..n].fill(0);
+            }
             self.live_scratch = live;
         }
         // Source admission: each stage-0 switch takes at most the head of
@@ -1695,36 +1761,7 @@ impl Simulator {
         if self.workload.is_some() {
             self.workload_arrivals();
         } else {
-            for s in 0..n {
-                if self.rng.gen_bool(self.config.offered_load) {
-                    let dest = self.pattern.destination(size, s, &mut self.rng);
-                    self.stats.injected += 1;
-                    if self.policy == RoutingPolicy::TsdtSender {
-                        // The sender consults the controller's blockage map
-                        // (through the per-source tag cache).
-                        match self.sender_tag(s, dest) {
-                            Some(tag) => {
-                                // A nonzero state word means REROUTE steered
-                                // around at least one blockage.
-                                if tag.state_bits() != 0 {
-                                    self.stats.reroutes += 1;
-                                }
-                                self.source_queues[s]
-                                    .push_back(Packet::with_tag(dest, self.cycle, tag));
-                                self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                            }
-                            None => {
-                                // No blockage-free path exists: refused at the
-                                // source.
-                                self.stats.refused += 1;
-                            }
-                        }
-                    } else {
-                        self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                        self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                    }
-                }
-            }
+            self.open_loop_arrivals(0);
         }
         // Occupancy sampling: one shared tick; per-queue sums catch up
         // lazily inside the arena.
@@ -1874,32 +1911,7 @@ impl Simulator {
             }
         }
         // New arrivals: identical RNG draw sequence to store-and-forward.
-        for s in 0..n {
-            if self.rng.gen_bool(self.config.offered_load) {
-                let dest = self.pattern.destination(size, s, &mut self.rng);
-                self.stats.injected += 1;
-                self.stats.flits_injected += u64::from(ws.flits);
-                if self.policy == RoutingPolicy::TsdtSender {
-                    match self.sender_tag(s, dest) {
-                        Some(tag) => {
-                            if tag.state_bits() != 0 {
-                                self.stats.reroutes += 1;
-                            }
-                            self.source_queues[s]
-                                .push_back(Packet::with_tag(dest, self.cycle, tag));
-                            self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                        }
-                        None => {
-                            self.stats.refused += 1;
-                            self.stats.flits_refused += u64::from(ws.flits);
-                        }
-                    }
-                } else {
-                    self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                    self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                }
-            }
-        }
+        self.open_loop_arrivals(ws.flits);
         // Lane-occupancy sampling, mirroring the arena's shared tick.
         ws.reservations.tick();
         self.wormhole = Some(ws);
@@ -2258,48 +2270,7 @@ impl Simulator {
     /// whether or not a packet arrives, so skipping a cycle would shift
     /// every later draw). A new waiting source arms admission.
     fn event_arrivals(&mut self, ev: &mut EventState) {
-        let n = self.config.size.n();
-        let mut any = false;
-        // Integer form of `gen_bool(p)`: the library draw compares
-        // `(next_u64() >> 11) as f64 * 2^-53 < p`, and scaling both sides
-        // by 2^53 (an exact power-of-two multiply) gives the equivalent
-        // integer test `(next_u64() >> 11) < ceil(p * 2^53)` — same RNG
-        // consumption, same accept set, no int-to-float conversion in the
-        // engine's hottest per-source loop.
-        let threshold = (self.config.offered_load * (1u64 << 53) as f64).ceil() as u64;
-        // Run the Bernoulli scan on a local copy of the generator so the
-        // 256-bit state lives in registers across the (overwhelmingly
-        // miss-predicted-false) loop instead of round-tripping through
-        // `self` on every draw; the state is written back below.
-        let mut rng = self.rng.clone();
-        for s in 0..n {
-            if (rng.next_u64() >> 11) < threshold {
-                let dest = self.pattern.destination(self.config.size, s, &mut rng);
-                self.stats.injected += 1;
-                if self.policy == RoutingPolicy::TsdtSender {
-                    match self.sender_tag(s, dest) {
-                        Some(tag) => {
-                            if tag.state_bits() != 0 {
-                                self.stats.reroutes += 1;
-                            }
-                            self.source_queues[s]
-                                .push_back(Packet::with_tag(dest, self.cycle, tag));
-                            self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                            any = true;
-                        }
-                        None => {
-                            self.stats.refused += 1;
-                        }
-                    }
-                } else {
-                    self.source_queues[s].push_back(Packet::new(dest, self.cycle));
-                    self.source_bits[s >> 6] |= 1u64 << (s & 63);
-                    any = true;
-                }
-            }
-        }
-        self.rng = rng;
-        if any {
+        if self.open_loop_arrivals(0) {
             ev.schedule_admission(self.cycle + 1);
         }
         let next = self.cycle + 1;

@@ -12,6 +12,7 @@
 //! contract is not limited to the hand-picked grid.
 
 use iadm_bench::json::sim_stats_json;
+use iadm_fault::scenario::ScenarioSpec;
 use iadm_fault::{BlockageMap, FaultEvent, FaultTimeline};
 use iadm_sim::{EngineKind, RoutingPolicy, SimConfig, Simulator, SwitchingMode, TrafficPattern};
 use iadm_topology::{Link, Size};
@@ -30,12 +31,18 @@ const MODES: [SwitchingMode; 2] = [
 
 const SIZES: [usize; 3] = [8, 64, 256];
 
-/// The three fault regimes of the equivalence grid.
+/// The fault regimes of the equivalence grid.
 #[derive(Debug, Clone, Copy)]
 enum Regime {
     FaultFree,
     /// One link down for the middle half of the run.
     Outage,
+    /// `links` random links down together for the middle half of the run
+    /// (the sweep's `outage:` scenario) — enough of them that a sparse
+    /// run's few packets actually meet blockages.
+    Burst {
+        links: usize,
+    },
     Churn {
         mtbf: u64,
         mttr: u64,
@@ -65,6 +72,12 @@ fn timeline(regime: Regime, size: Size, cycles: usize, seed: u64) -> FaultTimeli
                 ],
             )
         }
+        Regime::Burst { links } => ScenarioSpec::Outage {
+            links,
+            down: cycles as u64 / 4,
+            up: 3 * cycles as u64 / 4,
+        }
+        .timeline(size, seed ^ 0x71ED, cycles as u64),
         Regime::Churn { mtbf, mttr } => {
             FaultTimeline::mtbf(size, seed ^ 0x71ED, mtbf, mttr, cycles as u64)
         }
@@ -72,24 +85,59 @@ fn timeline(regime: Regime, size: Size, cycles: usize, seed: u64) -> FaultTimeli
 }
 
 /// Runs one grid point on `engine` and renders the full statistics.
+/// `crossbar` lifts the per-switch accept limit from 1 to 3.
 fn stats_json(
     mut config: SimConfig,
     engine: EngineKind,
     policy: RoutingPolicy,
     mode: SwitchingMode,
     regime: Regime,
+    crossbar: bool,
 ) -> String {
     config.engine = engine;
-    let stats = Simulator::with_fault_timeline(
+    let mut sim = Simulator::with_fault_timeline(
         config,
         policy,
         TrafficPattern::Uniform,
         BlockageMap::new(config.size),
         timeline(regime, config.size, config.cycles, config.seed),
     )
-    .with_switching_mode(mode)
-    .run();
-    sim_stats_json(&stats).encode()
+    .with_switching_mode(mode);
+    if crossbar {
+        sim = sim.with_crossbar_switches();
+    }
+    sim_stats_json(&sim.run()).encode()
+}
+
+fn assert_agree(
+    config: SimConfig,
+    policy: RoutingPolicy,
+    mode: SwitchingMode,
+    regime: Regime,
+    crossbar: bool,
+) {
+    let sync = stats_json(
+        config,
+        EngineKind::Synchronous,
+        policy,
+        mode,
+        regime,
+        crossbar,
+    );
+    let event = stats_json(
+        config,
+        EngineKind::EventDriven,
+        policy,
+        mode,
+        regime,
+        crossbar,
+    );
+    assert_eq!(
+        sync,
+        event,
+        "engines diverged: N={} {policy:?} {mode:?} {regime:?} crossbar={crossbar}",
+        config.size.n()
+    );
 }
 
 fn assert_engines_agree(
@@ -98,14 +146,7 @@ fn assert_engines_agree(
     mode: SwitchingMode,
     regime: Regime,
 ) {
-    let sync = stats_json(config, EngineKind::Synchronous, policy, mode, regime);
-    let event = stats_json(config, EngineKind::EventDriven, policy, mode, regime);
-    assert_eq!(
-        sync,
-        event,
-        "engines diverged: N={} {policy:?} {mode:?} {regime:?}",
-        config.size.n()
-    );
+    assert_agree(config, policy, mode, regime, false);
 }
 
 fn grid_config(n: usize) -> SimConfig {
@@ -182,6 +223,46 @@ fn engines_agree_at_low_load_on_large_networks() {
                 mttr: 60,
             },
         );
+        // Crossbar switches accept up to three packets per cycle, so the
+        // synchronous engine's per-stage accept reset must clear counts
+        // above one, not just flags.
+        assert_agree(
+            config,
+            RoutingPolicy::SsdtBalance,
+            SwitchingMode::StoreForward,
+            Regime::FaultFree,
+            true,
+        );
+        // The shared arrival scan also feeds wormhole mode, which keeps
+        // its own flit counters.
+        for policy in [RoutingPolicy::SsdtBalance, RoutingPolicy::TsdtSender] {
+            assert_engines_agree(
+                config,
+                policy,
+                SwitchingMode::Wormhole { flits: 4, lanes: 4 },
+                Regime::FaultFree,
+            );
+        }
+    }
+    // The shape of the benchmark's low-load workload: N = 8192, under one
+    // packet per cycle fabric-wide, healthy or under a link burst.
+    let config = SimConfig {
+        size: Size::new(8192).unwrap(),
+        queue_capacity: 4,
+        cycles: 200,
+        warmup: 40,
+        offered_load: 2.0 / 8192.0,
+        seed: 0x10AD_8192,
+        engine: EngineKind::Synchronous,
+    };
+    for policy in [
+        RoutingPolicy::FixedC,
+        RoutingPolicy::SsdtBalance,
+        RoutingPolicy::TsdtSender,
+    ] {
+        for regime in [Regime::FaultFree, Regime::Burst { links: 4096 }] {
+            assert_engines_agree(config, policy, SwitchingMode::StoreForward, regime);
+        }
     }
 }
 
@@ -233,8 +314,8 @@ iadm_check::check! {
         } else {
             Regime::Churn { mtbf: g.usize_in(40..=400) as u64, mttr: g.usize_in(10..=100) as u64 }
         };
-        let sync = stats_json(config, EngineKind::Synchronous, policy, mode, regime);
-        let event = stats_json(config, EngineKind::EventDriven, policy, mode, regime);
+        let sync = stats_json(config, EngineKind::Synchronous, policy, mode, regime, false);
+        let event = stats_json(config, EngineKind::EventDriven, policy, mode, regime, false);
         iadm_check::check_assert_eq!(
             sync, event,
             "engines diverged: N={} {policy:?} {mode:?} {regime:?}", size.n()

@@ -112,13 +112,38 @@ fn base_key(run: &RunSpec) -> Option<(usize, String)> {
 /// Builds one [`RunBases`] per distinct sharing key among `runs`
 /// (seed-dependent scenarios are skipped — they build per run). The
 /// number of keys is bounded by `#sizes × #scenarios`, never by the run
-/// count, so the map stays small even for 10^6-run campaigns.
+/// count, so the map stays small even for 10^6-run campaigns. Runs are
+/// deduplicated by comparing `(N, scenario)` against the few pairs seen
+/// so far, so a label is built once per key rather than once per run,
+/// and every scenario that realizes the healthy map
+/// ([`ScenarioSpec::realizes_healthy`]) at one N shares a single map and
+/// route table.
+///
+/// [`ScenarioSpec::realizes_healthy`]: iadm_fault::scenario::ScenarioSpec::realizes_healthy
 pub fn build_shared_bases(runs: &[RunSpec]) -> HashMap<(usize, String), RunBases> {
-    let mut bases = HashMap::new();
+    let mut distinct: Vec<&RunSpec> = Vec::new();
     for run in runs {
-        if let Some(key) = base_key(run) {
-            bases.entry(key).or_insert_with(|| RunBases::realize(run));
+        if !run.scenario.realization_is_seeded()
+            && !distinct
+                .iter()
+                .any(|d| d.size.n() == run.size.n() && d.scenario == run.scenario)
+        {
+            distinct.push(run);
         }
+    }
+    let mut healthy: HashMap<usize, RunBases> = HashMap::new();
+    let mut bases = HashMap::with_capacity(distinct.len());
+    for run in distinct {
+        let n = run.size.n();
+        let base = if run.scenario.realizes_healthy() {
+            healthy
+                .entry(n)
+                .or_insert_with(|| RunBases::realize(run))
+                .clone()
+        } else {
+            RunBases::realize(run)
+        };
+        bases.insert((n, run.scenario.label()), base);
     }
     bases
 }
@@ -390,6 +415,46 @@ mod tests {
         let doubled = &bases[&(8, "double:S1:1".to_string())];
         assert_eq!(doubled.faults, 2);
         assert!(doubled.lut.matches(&doubled.blockages));
+    }
+
+    #[test]
+    fn healthy_scenarios_share_one_base_per_size() {
+        use iadm_fault::scenario::ScenarioSpec;
+        let mut spec = SweepSpec::smoke();
+        spec.sizes = vec![8, 16];
+        spec.scenarios = vec![
+            ScenarioSpec::None,
+            ScenarioSpec::Mtbf { mtbf: 60, mttr: 20 },
+            ScenarioSpec::Outage {
+                links: 2,
+                down: 10,
+                up: 50,
+            },
+            ScenarioSpec::DoubleNonstraight {
+                stage: 1,
+                switch: 1,
+            },
+        ];
+        let bases = build_shared_bases(&spec.expand().unwrap());
+        assert_eq!(bases.len(), 8);
+        for n in [8, 16] {
+            let none = &bases[&(n, "none".to_string())];
+            for label in ["mtbf:60:20", "outage:2:10:50"] {
+                let other = &bases[&(n, label.to_string())];
+                assert!(
+                    Arc::ptr_eq(&none.blockages, &other.blockages),
+                    "N={n} {label}"
+                );
+                assert!(Arc::ptr_eq(&none.lut, &other.lut), "N={n} {label}");
+            }
+            let doubled = &bases[&(n, "double:S1:1".to_string())];
+            assert!(!Arc::ptr_eq(&none.lut, &doubled.lut));
+            assert_eq!(doubled.faults, 2);
+        }
+        assert!(!Arc::ptr_eq(
+            &bases[&(8, "none".to_string())].lut,
+            &bases[&(16, "none".to_string())].lut
+        ));
     }
 
     #[test]

@@ -727,7 +727,7 @@ pub fn validate_scenario(spec: &ScenarioSpec, size: Size) -> Result<(), String> 
             switch_ok(link.from)
         }
         ScenarioSpec::RandomLinks { count, filter } => {
-            let candidates = iadm_fault::scenario::candidate_links(size, *filter).len();
+            let candidates = iadm_fault::scenario::candidate_count(size, *filter);
             if *count > candidates {
                 Err(format!(
                     "scenario {}: {count} faults but only {candidates} candidate links",
@@ -763,7 +763,7 @@ pub fn validate_scenario(spec: &ScenarioSpec, size: Size) -> Result<(), String> 
             }
         }
         ScenarioSpec::Outage { links, down, up } => {
-            let candidates = iadm_fault::scenario::candidate_links(size, KindFilter::Any).len();
+            let candidates = iadm_fault::scenario::candidate_count(size, KindFilter::Any);
             if *links == 0 || *links > candidates {
                 Err(format!(
                     "scenario {}: burst of {links} links but only {candidates} candidate links",
