@@ -16,8 +16,9 @@
 use iadm_analysis::{dot, enumerate, oracle, render};
 use iadm_core::route::{trace, trace_tsdt};
 use iadm_core::{reroute::reroute, NetworkState};
-use iadm_fault::{BlockageMap, FaultTimeline};
-use iadm_sim::{run_once, SimConfig, SwitchingMode, TrafficPattern};
+use iadm_fault::BlockageMap;
+use iadm_sim::SimStats;
+use iadm_sweep::{RunBases, SweepSpec};
 use iadm_topology::{Adm, Gamma, GeneralizedCube, ICube, Iadm, Link, LinkKind, Size};
 use std::process::ExitCode;
 
@@ -175,15 +176,6 @@ impl Args {
         }
     }
 
-    fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag -{key} must be a number")),
-            None => Ok(default),
-        }
-    }
-
     fn blocks(&self, size: Size) -> Result<BlockageMap, String> {
         self.blocks_onto(size, BlockageMap::new(size))
     }
@@ -289,8 +281,10 @@ fn run(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown command {other}")),
     };
     parsed.reject_unknown(command, allowed)?;
-    if command == "sweep" {
-        return cmd_sweep(&parsed);
+    match command.as_str() {
+        "sweep" => return cmd_sweep(&parsed),
+        "simulate" => return cmd_simulate(&parsed),
+        _ => {}
     }
     let size = Size::new(parsed.usize_or("n", 8)?).map_err(|e| e.to_string())?;
     match command.as_str() {
@@ -298,7 +292,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "reroute" => cmd_reroute(size, &parsed),
         "paths" => cmd_paths(size, &parsed),
         "render" => cmd_render(size, &parsed),
-        "simulate" => cmd_simulate(size, &parsed),
         "subgraphs" => cmd_subgraphs(size),
         "dot" => cmd_dot(size, &parsed),
         "broadcast" => cmd_broadcast(size, &parsed),
@@ -389,125 +382,26 @@ fn cmd_render(size: Size, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(size: Size, args: &Args) -> Result<(), String> {
-    let policy = iadm_sweep::parse_policy(args.get("policy").unwrap_or("ssdt"))?;
-    let cycles = args.usize_or("cycles", 2000)?;
-    let warmup = args.usize_or("warmup", cycles / 5)?;
-    if warmup > cycles {
-        return Err(format!("warmup {warmup} exceeds cycles {cycles}"));
-    }
-    let converge = args
-        .get("converge")
-        .map(iadm_sweep::parse_converge)
-        .transpose()?;
-    if let Some((window, _)) = converge {
-        if window == 0 {
-            return Err("--converge window must be at least 1 cycle".into());
-        }
-        if 2 * window > cycles as u64 {
-            return Err(format!(
-                "--converge window {window} needs two windows within {cycles} cycles"
-            ));
-        }
-    }
-    let engine = match args.get("engine") {
-        Some(text) => iadm_sweep::parse_engine(text)?,
-        None => iadm_sim::EngineKind::Synchronous,
+/// The statistics of the one run a `simulate` command line describes:
+/// the default campaign edited by the flags and expanded, so validated
+/// exactly as `sweep` validates, to its one point. The run takes `--seed`
+/// as its run seed, so `simulate --seed S` reproduces the campaign point
+/// whose run seed is S, and `--block` links are layered onto the map its
+/// scenario realizes.
+fn simulate_stats(args: &Args) -> Result<SimStats, String> {
+    let mut spec = SweepSpec::default();
+    apply_spec_flags(&mut spec, args)?;
+    let mut runs = spec.expand()?;
+    let [run] = &mut runs[..] else {
+        return Err("simulate runs one point; use sweep for lists".into());
     };
-    let workload = match args.get("workload") {
-        Some(text) => iadm_sim::WorkloadSpec::parse(text)?,
-        None => iadm_sim::WorkloadSpec::OpenLoop,
-    };
-    workload.validate(size)?;
-    // A non-open workload owns injection: the open-loop rate defaults to
-    // (and must stay) zero.
-    let offered_load = if workload.is_closed() {
-        match args.f64_or("load", 0.0)? {
-            0.0 => 0.0,
-            _ => {
-                return Err(format!(
-                    "--workload {} owns injection; --load must stay 0",
-                    workload.label()
-                ))
-            }
-        }
-    } else {
-        args.f64_or("load", 0.5)?
-    };
-    let config = SimConfig {
-        size,
-        queue_capacity: args.usize_or("queue", 4)?,
-        cycles,
-        warmup,
-        offered_load,
-        seed: args.usize_or("seed", 1)? as u64,
-        engine,
-    };
-    config.validate()?;
-    let mode = match args.get("mode") {
-        Some(text) => iadm_sweep::parse_mode(text)?,
-        None => SwitchingMode::StoreForward,
-    };
-    if workload.is_closed() && mode != SwitchingMode::StoreForward {
-        return Err("closed-loop workloads drive store-and-forward runs only".into());
-    }
-    let arbitration = match args.get("arbitration") {
-        Some(text) => iadm_sweep::parse_arbitration(text)?,
-        None => iadm_sim::LaneArbitration::FirstFree,
-    };
-    let tag_repair = match args.get("repair") {
-        Some(text) => iadm_sweep::parse_tag_repair(text)?,
-        None => iadm_sim::TagRepair::Aware,
-    };
-    // A --faults scenario realizes (initial map + transient timeline) from
-    // the same seed streams a sweep run uses, so `simulate --seed S` and a
-    // one-point campaign seeded to derive S agree exactly.
-    let scenario = args.get("faults").map(parse_scenario_flag).transpose()?;
-    let (initial, timeline) = match &scenario {
-        Some(s) => {
-            iadm_sweep::validate_scenario(s, size)?;
-            (
-                s.realize(
-                    size,
-                    iadm_rng::mix(config.seed, iadm_sweep::FAULT_SEED_STREAM),
-                ),
-                s.timeline(
-                    size,
-                    iadm_rng::mix(config.seed, iadm_sweep::TIMELINE_SEED_STREAM),
-                    config.cycles as u64,
-                ),
-            )
-        }
-        None => (BlockageMap::new(size), FaultTimeline::empty(size)),
-    };
-    let blockages = args.blocks_onto(size, initial)?;
-    let stats = if blockages.is_empty()
-        && timeline.is_empty()
-        && mode == SwitchingMode::StoreForward
-        && !workload.is_closed()
-        && converge.is_none()
-    {
-        run_once(config, policy, TrafficPattern::Uniform)
-    } else {
-        // The workload seeds from the same stream a sweep run uses, so
-        // `simulate --workload … --seed S` reproduces a campaign point.
-        let workload_seed = iadm_rng::mix(config.seed, iadm_sweep::WORKLOAD_SEED_STREAM);
-        let mut sim = iadm_sim::Simulator::with_fault_timeline(
-            config,
-            policy,
-            TrafficPattern::Uniform,
-            blockages,
-            timeline,
-        )
-        .with_switching_mode(mode)
-        .with_lane_arbitration(arbitration)
-        .with_tag_repair(tag_repair)
-        .with_workload(&workload, workload_seed);
-        if let Some((window, tol)) = converge {
-            sim = sim.with_convergence(window, tol);
-        }
-        sim.run()
-    };
+    run.seed = spec.campaign_seed;
+    let bases = RunBases::new(args.blocks_onto(run.size, run.blockages())?);
+    Ok(run.simulator(&bases).run())
+}
+
+fn cmd_simulate(args: &Args) -> Result<(), String> {
+    let stats = simulate_stats(args)?;
     println!("cycles          {}", stats.cycles);
     println!("injected        {}", stats.injected);
     println!("delivered       {}", stats.delivered);
@@ -629,92 +523,55 @@ fn cmd_broadcast(size: Size, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    use iadm_sweep::{campaign_json, pivot_table, run_campaign, summary_table, SweepSpec};
-
-    let mut spec = match args.get("spec") {
-        Some(name) => SweepSpec::builtin(name)?,
-        None => SweepSpec {
-            name: "custom".into(),
-            sizes: vec![8],
-            loads: vec![0.5],
-            queue_capacities: vec![4],
-            policies: vec![iadm_sim::RoutingPolicy::SsdtBalance],
-            patterns: vec![TrafficPattern::Uniform],
-            modes: vec![SwitchingMode::StoreForward],
-            workloads: vec![iadm_sim::WorkloadSpec::OpenLoop],
-            arbitrations: vec![iadm_sim::LaneArbitration::FirstFree],
-            tag_repairs: vec![iadm_sim::TagRepair::Aware],
-            engines: vec![iadm_sim::EngineKind::Synchronous],
-            scenarios: vec![iadm_fault::scenario::ScenarioSpec::None],
-            cycles: 2000,
-            warmup: 400,
-            converge: None,
-            campaign_seed: 1,
-        },
-    };
-    // Axis flags override the base spec (built-in or default).
-    if let Some(list) = args.get("n") {
-        spec.sizes = parse_usize_list(list, "n")?;
+/// Edits `spec`'s axes and run parameters from the command line (a flag
+/// overrides its axis; `--cycles` also sets the warm-up to a fifth; a
+/// closed-loop workload collapses the loads axis to `0.0` unless a load
+/// is given). `sweep` spells the axis flags in the plural and takes
+/// comma-separated lists (`--loads 0.1,0.5`); `simulate` spells them in
+/// the singular (`--load 0.5`). Each command's flag table admits only
+/// its own spelling, so looking up both is unambiguous.
+fn apply_spec_flags(spec: &mut SweepSpec, args: &Args) -> Result<(), String> {
+    fn list<T>(text: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        text.split(',').map(|x| parse(x.trim())).collect()
     }
-    if let Some(list) = args.get("loads") {
-        spec.loads = iadm_sweep::parse_loads(list)?;
+    let axis = |plural: &str, singular: &str| args.get(plural).or_else(|| args.get(singular));
+    if let Some(text) = args.get("n") {
+        spec.sizes = parse_usize_list(text, "n")?;
     }
-    if let Some(list) = args.get("policies") {
-        spec.policies = list
-            .split(',')
-            .map(|p| iadm_sweep::parse_policy(p.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("loads", "load") {
+        spec.loads = iadm_sweep::parse_loads(text)?;
     }
-    if let Some(list) = args.get("patterns") {
-        spec.patterns = list
-            .split(',')
-            .map(|p| iadm_sweep::parse_pattern(p.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("policies", "policy") {
+        spec.policies = list(text, iadm_sweep::parse_policy)?;
     }
-    if let Some(list) = args.get("modes") {
-        spec.modes = list
-            .split(',')
-            .map(|m| iadm_sweep::parse_mode(m.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = args.get("patterns") {
+        spec.patterns = list(text, iadm_sweep::parse_pattern)?;
     }
-    if let Some(list) = args.get("arbitrations") {
-        spec.arbitrations = list
-            .split(',')
-            .map(|a| iadm_sweep::parse_arbitration(a.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("modes", "mode") {
+        spec.modes = list(text, iadm_sweep::parse_mode)?;
     }
-    if let Some(list) = args.get("repairs") {
-        spec.tag_repairs = list
-            .split(',')
-            .map(|r| iadm_sweep::parse_tag_repair(r.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("arbitrations", "arbitration") {
+        spec.arbitrations = list(text, iadm_sweep::parse_arbitration)?;
     }
-    if let Some(list) = args.get("engines") {
-        spec.engines = list
-            .split(',')
-            .map(|e| iadm_sweep::parse_engine(e.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("repairs", "repair") {
+        spec.tag_repairs = list(text, iadm_sweep::parse_tag_repair)?;
     }
-    if let Some(list) = args.get("workloads") {
-        spec.workloads = list
-            .split(',')
-            .map(|w| iadm_sim::WorkloadSpec::parse(w.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = axis("engines", "engine") {
+        spec.engines = list(text, iadm_sweep::parse_engine)?;
+    }
+    if let Some(text) = axis("workloads", "workload") {
+        spec.workloads = list(text, iadm_sim::WorkloadSpec::parse)?;
         // Non-open workloads own injection; collapse the loads axis to the
         // only legal value unless the user pinned it explicitly.
-        if spec.workloads.iter().any(|w| w.is_closed()) && args.get("loads").is_none() {
+        if spec.workloads.iter().any(|w| w.is_closed()) && axis("loads", "load").is_none() {
             spec.loads = vec![0.0];
         }
     }
-    if let Some(list) = args.get("queues") {
-        spec.queue_capacities = parse_usize_list(list, "queues")?;
+    if let Some(text) = axis("queues", "queue") {
+        spec.queue_capacities = parse_usize_list(text, "queues")?;
     }
-    if let Some(list) = args.get("faults") {
-        spec.scenarios = list
-            .split(',')
-            .map(|s| parse_scenario_flag(s.trim()))
-            .collect::<Result<_, _>>()?;
+    if let Some(text) = args.get("faults") {
+        spec.scenarios = list(text, parse_scenario_flag)?;
     }
     if args.get("cycles").is_some() {
         spec.cycles = args.usize_or("cycles", 0)?;
@@ -729,6 +586,17 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if let Some(text) = args.get("converge") {
         spec.converge = Some(iadm_sweep::parse_converge(text)?);
     }
+    Ok(())
+}
+
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    use iadm_sweep::{campaign_json, pivot_table, run_campaign, summary_table};
+
+    let mut spec = match args.get("spec") {
+        Some(name) => SweepSpec::builtin(name)?,
+        None => SweepSpec::default(),
+    };
+    apply_spec_flags(&mut spec, args)?;
 
     let threads = args.usize_or("threads", 1)?;
     if let Some(paths) = args.get("merge") {
@@ -1341,15 +1209,94 @@ mod tests {
 
     #[test]
     fn run_rejects_unknown_commands_and_flags() {
-        let bad: Vec<String> = vec!["frobnicate".into()];
-        assert!(run(&bad).is_err());
-        let bad: Vec<String> = vec!["route".into(), "-n".into(), "8".into()];
-        assert!(run(&bad).is_err(), "missing -s/-d must fail");
-        let bad: Vec<String> = ["simulate", "-n", "8", "--cycles", "50", "--warmup", "60"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&bad).is_err(), "warmup beyond cycles must fail");
+        for case in [
+            vec!["frobnicate"],
+            // Missing -s/-d.
+            vec!["route", "-n", "8"],
+            vec!["simulate", "-n", "8", "--cycles", "50", "--warmup", "60"],
+            // The warm-up must leave a measured cycle, as in `sweep`.
+            vec!["simulate", "-n", "8", "--cycles", "50", "--warmup", "50"],
+            vec!["simulate", "-n", "8", "--cycles", "0"],
+            // Queue capacities outside the arenas' u16 ring offsets.
+            vec!["simulate", "-n", "8", "--queue", "0", "--cycles", "10"],
+            vec!["simulate", "-n", "8", "--queue", "100000", "--cycles", "50"],
+            // `simulate` runs one point.
+            vec!["simulate", "-n", "8", "--policy", "ssdt,fixed"],
+        ] {
+            let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+            assert!(run(&args).is_err(), "{case:?} must fail");
+        }
+    }
+
+    /// `simulate` with a campaign point's flags and run seed reproduces
+    /// that point's statistics byte for byte: both commands build the run
+    /// through `RunSpec::simulator`.
+    #[test]
+    fn simulate_equals_its_sweep_point() {
+        fn singular(flag: &str) -> &str {
+            match flag {
+                "--loads" => "--load",
+                "--policies" => "--policy",
+                "--modes" => "--mode",
+                "--workloads" => "--workload",
+                "--engines" => "--engine",
+                other => other,
+            }
+        }
+        for case in [
+            vec!["--loads", "0.3"],
+            vec!["--loads", "0.3", "--faults", "rand:2"],
+            vec![
+                "--loads",
+                "0.3",
+                "--policies",
+                "tsdt",
+                "--faults",
+                "mtbf:40:15",
+                "--modes",
+                "wormhole:2:2",
+            ],
+            vec!["--workloads", "rr:all:8", "--faults", "mtbf:60:20"],
+            vec![
+                "--loads",
+                "0.4",
+                "--policies",
+                "dchoice:2",
+                "--converge",
+                "25:0.2",
+            ],
+            vec![
+                "--loads",
+                "0.3",
+                "--engines",
+                "event",
+                "--faults",
+                "mtbf:40:15",
+            ],
+        ] {
+            let mut flags = vec!["--n", "8", "--cycles", "200", "--seed", "5"];
+            flags.extend(&case);
+            let sweep: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            let mut spec = SweepSpec::default();
+            apply_spec_flags(&mut spec, &Args::parse(&sweep).unwrap()).unwrap();
+            let runs = spec.expand().unwrap();
+            assert_eq!(runs.len(), 1, "{case:?}");
+            let expected = iadm_sweep::execute_run(&runs[0]).stats;
+
+            let seed = runs[0].seed.to_string();
+            let mut simulate: Vec<String> = flags.iter().map(|f| singular(f).to_string()).collect();
+            simulate[5] = seed;
+            let stats = simulate_stats(&Args::parse(&simulate).unwrap()).unwrap();
+            assert_eq!(
+                iadm_bench::json::sim_stats_json(&stats).encode(),
+                iadm_bench::json::sim_stats_json(&expected).encode(),
+                "{case:?}"
+            );
+            assert!(
+                stats.injected + stats.workload.issued > 0,
+                "{case:?} ran empty"
+            );
+        }
     }
 
     #[test]
@@ -1443,6 +1390,18 @@ mod tests {
             vec!["sweep", "--repairs", "psychic"],
             vec!["simulate", "-n", "8", "--faults", "outage:6:50"],
             vec!["sweep", "--faults", "outage:6:120:50"],
+            // Limits the simulator stores in fixed widths: u16 ring
+            // offsets and u32 injection timestamps.
+            vec!["sweep", "--n", "8", "--cycles", "50", "--queues", "100000"],
+            vec![
+                "sweep",
+                "--n",
+                "8",
+                "--loads",
+                "0",
+                "--cycles",
+                "5000000000",
+            ],
         ] {
             let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
             assert!(run(&args).is_err(), "{case:?} must fail");

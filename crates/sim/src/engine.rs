@@ -52,10 +52,11 @@ pub struct SimConfig {
 impl SimConfig {
     /// Checks every invariant the simulator relies on, returning a
     /// human-readable message for the first violation: `offered_load`
-    /// finite and in `[0, 1]`, `warmup <= cycles`, and `cycles`
+    /// finite and in `[0, 1]`, `warmup <= cycles`, `cycles`
     /// representable in the 32 bits [`Packet`] stores `injected_at` in
     /// (a longer run would silently truncate injection timestamps and
-    /// underflow the latency subtraction).
+    /// underflow the latency subtraction), and `queue_capacity` in
+    /// `1..=u16::MAX` (the arenas store ring offsets as `u16`).
     pub fn validate(&self) -> Result<(), String> {
         if !self.offered_load.is_finite() {
             return Err(format!(
@@ -79,6 +80,13 @@ impl SimConfig {
                 u32::MAX
             ));
         }
+        if !(1..=usize::from(u16::MAX)).contains(&self.queue_capacity) {
+            return Err(format!(
+                "queue capacity {} out of range 1..={} (ring offsets are 16 bits)",
+                self.queue_capacity,
+                u16::MAX
+            ));
+        }
         Ok(())
     }
 }
@@ -88,10 +96,11 @@ impl SimConfig {
 /// Both engines execute the *same* simulation — identical decision
 /// order, identical RNG draw order, identical floating-point fold order
 /// — so their statistics are byte-identical (the differential contract
-/// of `tests/equivalence.rs`). The synchronous engine pays O(network
-/// size) every cycle; the event-driven engine pays for the work that
-/// actually happens, which is what makes low-load runs on large
-/// networks affordable (the `BENCH_sim.json` headline of this axis).
+/// of `tests/equivalence.rs`). The event-driven engine wakes only the
+/// work that can progress; since the synchronous loop gained the shared
+/// arrival kernel and the sparse accept reset it runs at the same
+/// low-load rate, up to N = 8192 (DESIGN.md §9). The event engine is
+/// kept as the differential oracle of the cycle loop, not for speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Visit every stage, every waiting source, and every switch scan
@@ -2524,8 +2533,7 @@ impl Simulator {
 
     /// Closes outages still open at the end of the run and folds the
     /// per-link outage clocks into the availability statistics (no-op for
-    /// static runs). Shared verbatim by both switching modes' finishers,
-    /// so the floating-point fold order is identical.
+    /// static runs).
     fn fold_availability(&mut self) {
         if !self.dynamic {
             return;
@@ -2551,208 +2559,39 @@ impl Simulator {
         }
     }
 
-    /// Finalizes statistics without running further cycles.
+    /// Finalizes statistics without running further cycles. Every engine
+    /// and switching mode ends in the one link fold
+    /// ([`SimStats::fold_links`]): over the full flat range of the
+    /// synchronous arena or the reservation table, and over the sorted
+    /// touched queues of the event engine's arena. Worms in flight are
+    /// counted from the worm table, outside the fold.
     pub fn finish(mut self) -> SimStats {
-        // Fold the workload ledger first: every finisher below consumes
-        // `self` whole, and the fold only touches `stats.workload`.
         if let Some(wl) = self.workload.take() {
             wl.source.collect(&mut self.stats.workload);
         }
-        if self.wormhole.is_some() {
-            // Wormhole statistics come from the reservation table, which
-            // both engines share — one finisher serves both.
-            return self.finish_wormhole();
-        }
-        if self.event.is_some() {
-            return self.finish_event();
-        }
-        let mut in_flight: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-        let mut high_water = 0usize;
-        let mut occupancy_sum = 0.0f64;
-        let queue_count = self.queues.queue_count();
-        // Queue order = flat link order = the old (stage, switch, kind)
-        // nesting, so the floating-point fold below matches it exactly.
-        for q in 0..queue_count {
-            in_flight += self.queues.len(q) as u64;
-            high_water = high_water.max(self.queues.high_water(q));
-            occupancy_sum += self.queues.mean_occupancy(q);
-        }
-        // Nonstraight balance per the paper's load-balancing argument.
-        let size = self.config.size;
-        let mut imbalance_sum = 0.0f64;
-        let mut switches_with_traffic = 0usize;
-        let mut max_link_load = 0u64;
-        let mut stage_link_use = vec![0u64; size.stages()];
-        for stage in size.stage_indices() {
-            for sw in size.switches() {
-                let plus = self.queues.carried(Link::plus(stage, sw).flat_index(size));
-                let minus = self.queues.carried(Link::minus(stage, sw).flat_index(size));
-                let straight = self
-                    .queues
-                    .carried(Link::straight(stage, sw).flat_index(size));
-                max_link_load = max_link_load.max(plus).max(minus).max(straight);
-                stage_link_use[stage] += plus + minus + straight;
-                if plus + minus > 0 {
-                    imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
-                    switches_with_traffic += 1;
-                }
-            }
-        }
-        self.stats.stage_link_use = stage_link_use;
-        self.stats.nonstraight_imbalance = if switches_with_traffic == 0 {
-            0.0
-        } else {
-            imbalance_sum / switches_with_traffic as f64
-        };
-        self.stats.max_link_load = max_link_load;
-        self.fold_availability();
-        self.stats.in_flight = in_flight;
-        self.stats.queue_high_water = high_water;
-        self.stats.queue_mean_occupancy = if queue_count == 0 {
-            0.0
-        } else {
-            occupancy_sum / queue_count as f64
-        };
-        self.stats.cycles = self.cycle;
-        self.stats
-    }
-
-    /// Event-engine finisher: [`Simulator::finish`]'s folds verbatim over
-    /// the dense arena. The arena's per-queue integrals are the same
-    /// `u64`s the flat arena accumulates and the fold visits queues in
-    /// the same flat order, so every floating-point result is
-    /// bit-identical.
-    fn finish_event(mut self) -> SimStats {
-        let ev = self.event.take().expect("finish_event without event state");
-        let arena = ev.active;
-        let mut in_flight: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-        let mut high_water = 0usize;
-        let mut occupancy_sum = 0.0f64;
-        let queue_count = arena.queue_count();
-        // Fold over the ever-touched queues only, in ascending queue
-        // order. A never-activated queue contributes `0` to the integer
-        // folds and `+0.0` to the occupancy sum — an exact IEEE identity
-        // on these non-negative partial sums — so the result is
-        // byte-identical to the synchronous finisher's full walk while
-        // the work stays proportional to the traffic (the run-long
-        // analogue of the arena's dense working set).
-        let mut touched = arena.touched_queues().to_vec();
-        touched.sort_unstable();
-        for &q in &touched {
-            let q = q as usize;
-            in_flight += arena.len(q) as u64;
-            high_water = high_water.max(arena.high_water(q));
-            occupancy_sum += arena.mean_occupancy(q);
-        }
-        let size = self.config.size;
-        let n = size.n();
-        let mut imbalance_sum = 0.0f64;
-        let mut switches_with_traffic = 0usize;
-        let mut max_link_load = 0u64;
-        let mut stage_link_use = vec![0u64; size.stages()];
-        // Same sparsity argument per (stage, switch): a switch none of
-        // whose three queues was ever activated carried nothing on any
-        // link. Queue triples share a switch, and `touched` is sorted,
-        // so `q / 3` dedups to ascending switch order — the synchronous
-        // loop's (stage, sw) visit order.
-        let mut sw_ids: Vec<u32> = touched.iter().map(|&q| q / 3).collect();
-        sw_ids.dedup();
-        for &sw_id in &sw_ids {
-            let stage = sw_id as usize / n;
-            let sw = sw_id as usize % n;
-            let plus = arena.carried(Link::plus(stage, sw).flat_index(size));
-            let minus = arena.carried(Link::minus(stage, sw).flat_index(size));
-            let straight = arena.carried(Link::straight(stage, sw).flat_index(size));
-            max_link_load = max_link_load.max(plus).max(minus).max(straight);
-            stage_link_use[stage] += plus + minus + straight;
-            if plus + minus > 0 {
-                imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
-                switches_with_traffic += 1;
-            }
-        }
-        self.stats.stage_link_use = stage_link_use;
-        self.stats.nonstraight_imbalance = if switches_with_traffic == 0 {
-            0.0
-        } else {
-            imbalance_sum / switches_with_traffic as f64
-        };
-        self.stats.max_link_load = max_link_load;
-        self.fold_availability();
-        self.stats.in_flight = in_flight;
-        self.stats.queue_high_water = high_water;
-        self.stats.queue_mean_occupancy = if queue_count == 0 {
-            0.0
-        } else {
-            occupancy_sum / queue_count as f64
-        };
-        self.stats.cycles = self.cycle;
-        self.stats
-    }
-
-    /// Wormhole-mode finisher: the queue-occupancy, link-use, and
-    /// imbalance statistics come from the reservation table (held lanes
-    /// and flits carried) in the same shapes and units the
-    /// store-and-forward path reports for buffers and packets, plus the
-    /// flit-level ledger.
-    fn finish_wormhole(mut self) -> SimStats {
-        let ws = self
-            .wormhole
-            .take()
-            .expect("finish_wormhole without wormhole state");
         let queued: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
-        let mut in_flight = queued;
-        let mut flits_in_flight = queued * u64::from(ws.flits);
-        for &id in &ws.order {
-            let w = &ws.worms[id as usize];
-            debug_assert!(!w.dead, "dead worms are retired every cycle");
-            in_flight += 1;
-            flits_in_flight += u64::from(w.pending) + w.held.len() as u64;
-        }
-        let res = &ws.reservations;
-        let mut high_water = 0usize;
-        let mut occupancy_sum = 0.0f64;
-        let link_count = res.link_count();
-        for q in 0..link_count {
-            high_water = high_water.max(res.high_water(q));
-            occupancy_sum += res.mean_occupancy(q);
-        }
-        // Link-use counters in flits (a worm crossing a link carries
-        // `flits` flits over it), folded in the same order as the
-        // store-and-forward path.
+        self.stats.in_flight = queued;
         let size = self.config.size;
-        let mut imbalance_sum = 0.0f64;
-        let mut switches_with_traffic = 0usize;
-        let mut max_link_load = 0u64;
-        let mut stage_link_use = vec![0u64; size.stages()];
-        for stage in size.stage_indices() {
-            for sw in size.switches() {
-                let plus = res.carried(Link::plus(stage, sw).flat_index(size));
-                let minus = res.carried(Link::minus(stage, sw).flat_index(size));
-                let straight = res.carried(Link::straight(stage, sw).flat_index(size));
-                max_link_load = max_link_load.max(plus).max(minus).max(straight);
-                stage_link_use[stage] += plus + minus + straight;
-                if plus + minus > 0 {
-                    imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
-                    switches_with_traffic += 1;
-                }
+        if let Some(ws) = self.wormhole.take() {
+            self.stats.flits_in_flight = queued * u64::from(ws.flits);
+            for &id in &ws.order {
+                let w = &ws.worms[id as usize];
+                debug_assert!(!w.dead, "dead worms are retired every cycle");
+                self.stats.in_flight += 1;
+                self.stats.flits_in_flight += u64::from(w.pending) + w.held.len() as u64;
             }
+            let res = &ws.reservations;
+            self.stats.fold_links(res, size, 0..res.link_count());
+        } else if let Some(ev) = self.event.take() {
+            let mut touched = ev.active.touched_queues().to_vec();
+            touched.sort_unstable();
+            let touched = touched.into_iter().map(|q| q as usize);
+            self.stats.fold_links(&ev.active, size, touched);
+        } else {
+            let queues = &self.queues;
+            self.stats.fold_links(queues, size, 0..queues.queue_count());
         }
-        self.stats.stage_link_use = stage_link_use;
-        self.stats.nonstraight_imbalance = if switches_with_traffic == 0 {
-            0.0
-        } else {
-            imbalance_sum / switches_with_traffic as f64
-        };
-        self.stats.max_link_load = max_link_load;
         self.fold_availability();
-        self.stats.in_flight = in_flight;
-        self.stats.flits_in_flight = flits_in_flight;
-        self.stats.queue_high_water = high_water;
-        self.stats.queue_mean_occupancy = if link_count == 0 {
-            0.0
-        } else {
-            occupancy_sum / link_count as f64
-        };
         self.stats.cycles = self.cycle;
         self.stats
     }
@@ -2979,6 +2818,12 @@ mod tests {
         bad = config(8, 0.4, 100);
         bad.warmup = 101;
         assert!(bad.validate().unwrap_err().contains("warmup"));
+        // The arenas' u16 ring offsets bound the queue capacity.
+        bad = config(8, 0.4, 100);
+        for (capacity, ok) in [(0, false), (1, true), (65535, true), (65536, false)] {
+            bad.queue_capacity = capacity;
+            assert_eq!(bad.validate().is_ok(), ok, "capacity {capacity}");
+        }
     }
 
     #[test]

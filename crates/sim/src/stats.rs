@@ -1,6 +1,9 @@
 //! Simulation statistics.
 
+use crate::active::ActiveArena;
 use crate::histogram::LatencyHistogram;
+use crate::queue::{QueueArena, ReservationTable};
+use iadm_topology::{LinkKind, Size};
 use iadm_workload::WorkloadStats;
 
 /// Aggregate results of one simulation run.
@@ -182,9 +185,210 @@ impl SimStats {
     }
 }
 
+/// The end-of-run counters of one link ledger, indexed by flat link
+/// index ([`iadm_topology::Link::flat_index`]): the input of
+/// [`SimStats::fold_links`]. The flat [`QueueArena`], the event engine's
+/// dense [`ActiveArena`] and the wormhole [`ReservationTable`] all keep
+/// them, in the same units per link.
+pub(crate) trait LinkLedger {
+    /// Number of links (the occupancy mean's denominator).
+    fn link_count(&self) -> usize;
+    /// Packets still buffered on link `q` (counted into `in_flight`).
+    fn resident(&self, q: usize) -> u64;
+    /// Largest occupancy ever observed on link `q`.
+    fn high_water(&self, q: usize) -> usize;
+    /// Mean occupancy of link `q` over all sample points.
+    fn mean_occupancy(&self, q: usize) -> f64;
+    /// Packets (or, for worms, flits) carried over link `q`.
+    fn carried(&self, q: usize) -> u64;
+}
+
+impl LinkLedger for QueueArena {
+    fn link_count(&self) -> usize {
+        self.queue_count()
+    }
+    fn resident(&self, q: usize) -> u64 {
+        self.len(q) as u64
+    }
+    fn high_water(&self, q: usize) -> usize {
+        QueueArena::high_water(self, q)
+    }
+    fn mean_occupancy(&self, q: usize) -> f64 {
+        QueueArena::mean_occupancy(self, q)
+    }
+    fn carried(&self, q: usize) -> u64 {
+        QueueArena::carried(self, q)
+    }
+}
+
+impl LinkLedger for ActiveArena {
+    fn link_count(&self) -> usize {
+        self.queue_count()
+    }
+    fn resident(&self, q: usize) -> u64 {
+        self.len(q) as u64
+    }
+    fn high_water(&self, q: usize) -> usize {
+        ActiveArena::high_water(self, q)
+    }
+    fn mean_occupancy(&self, q: usize) -> f64 {
+        ActiveArena::mean_occupancy(self, q)
+    }
+    fn carried(&self, q: usize) -> u64 {
+        ActiveArena::carried(self, q)
+    }
+}
+
+/// Occupancy counts held lanes; the worms holding them are counted into
+/// `in_flight` from the worm table, so no link holds resident packets.
+impl LinkLedger for ReservationTable {
+    fn link_count(&self) -> usize {
+        ReservationTable::link_count(self)
+    }
+    fn resident(&self, _q: usize) -> u64 {
+        0
+    }
+    fn high_water(&self, q: usize) -> usize {
+        ReservationTable::high_water(self, q)
+    }
+    fn mean_occupancy(&self, q: usize) -> f64 {
+        ReservationTable::mean_occupancy(self, q)
+    }
+    fn carried(&self, q: usize) -> u64 {
+        ReservationTable::carried(self, q)
+    }
+}
+
+impl SimStats {
+    /// The one statistics fold: sets the queue-occupancy, link-use and
+    /// nonstraight-imbalance statistics from `ledger` and adds the
+    /// packets still buffered to `in_flight`.
+    ///
+    /// `links` must be ascending and must include every link with a
+    /// non-zero counter. A link left out would contribute `0` to the
+    /// integer folds and `+0.0` to the occupancy sum, an exact IEEE
+    /// identity on these non-negative partial sums, so the full range and
+    /// the event arena's sorted touched list give bit-identical results
+    /// while the work stays proportional to the links given. Per switch,
+    /// the three links `3s..3s + 3` are read together the first time one
+    /// of them comes up, so switches are visited in ascending flat order
+    /// too, the `(stage, switch)` nesting of the paper's load-balancing
+    /// argument.
+    pub(crate) fn fold_links<L: LinkLedger>(
+        &mut self,
+        ledger: &L,
+        size: Size,
+        links: impl IntoIterator<Item = usize>,
+    ) {
+        let mut high_water = 0usize;
+        let mut occupancy_sum = 0.0f64;
+        let mut imbalance_sum = 0.0f64;
+        let mut switches_with_traffic = 0usize;
+        let mut max_link_load = 0u64;
+        let mut stage_link_use = vec![0u64; size.stages()];
+        let mut last_switch = None;
+        for q in links {
+            self.in_flight += ledger.resident(q);
+            high_water = high_water.max(ledger.high_water(q));
+            occupancy_sum += ledger.mean_occupancy(q);
+            let switch = q / 3;
+            if last_switch == Some(switch) {
+                continue;
+            }
+            debug_assert!(last_switch < Some(switch), "links must ascend");
+            last_switch = Some(switch);
+            let carried = |kind: LinkKind| ledger.carried(3 * switch + kind.index());
+            let (plus, minus) = (carried(LinkKind::Plus), carried(LinkKind::Minus));
+            let straight = carried(LinkKind::Straight);
+            max_link_load = max_link_load.max(plus).max(minus).max(straight);
+            stage_link_use[switch / size.n()] += plus + minus + straight;
+            if plus + minus > 0 {
+                imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
+                switches_with_traffic += 1;
+            }
+        }
+        self.stage_link_use = stage_link_use;
+        self.nonstraight_imbalance = if switches_with_traffic == 0 {
+            0.0
+        } else {
+            imbalance_sum / switches_with_traffic as f64
+        };
+        self.max_link_load = max_link_load;
+        self.queue_high_water = high_water;
+        let link_count = ledger.link_count();
+        self.queue_mean_occupancy = if link_count == 0 {
+            0.0
+        } else {
+            occupancy_sum / link_count as f64
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Packet;
+
+    /// The fields [`SimStats::fold_links`] sets, floats as raw bits so
+    /// equality is bit-identity.
+    fn folded<L: LinkLedger>(
+        ledger: &L,
+        size: Size,
+        links: impl IntoIterator<Item = usize>,
+    ) -> (u64, usize, u64, u64, u64, Vec<u64>) {
+        let mut stats = SimStats::default();
+        stats.fold_links(ledger, size, links);
+        (
+            stats.in_flight,
+            stats.queue_high_water,
+            stats.queue_mean_occupancy.to_bits(),
+            stats.nonstraight_imbalance.to_bits(),
+            stats.max_link_load,
+            stats.stage_link_use,
+        )
+    }
+
+    iadm_check::check! {
+        /// The sparse fold over the event arena's sorted touched queues
+        /// equals the full walk over the flat arena, bit for bit, after
+        /// the same random push/pop/carry/tick sequence on both.
+        fn touched_fold_equals_the_full_walk(g; cases = 256) {
+            let size = Size::new(1 << g.usize_in(1..=4)).expect("power of two");
+            let links = 3 * size.n() * size.stages();
+            let capacity = g.usize_in(1..=4);
+            let mut flat = QueueArena::new(links, capacity);
+            let mut active = ActiveArena::new(links, capacity);
+            // Traffic concentrates on a few links, as it does at low load.
+            let hot: Vec<usize> = (0..4).map(|_| g.usize_in(0..=links - 1)).collect();
+            for step in 0..g.usize_in(0..=300) {
+                let q = if g.bool_with(0.8) {
+                    hot[g.usize_in(0..=3)]
+                } else {
+                    g.usize_in(0..=links - 1)
+                };
+                match g.u32_in(0..=3) {
+                    0 => {
+                        let packet = Packet::new(step % size.n(), step as u64);
+                        iadm_check::check_assert_eq!(flat.push(q, packet), active.push(q, packet));
+                    }
+                    1 => iadm_check::check_assert_eq!(flat.pop(q), active.pop(q)),
+                    2 if !flat.is_empty(q) => {
+                        iadm_check::check_assert_eq!(flat.pop_carried(q), active.pop_carried(q));
+                    }
+                    _ => {
+                        flat.tick();
+                        active.tick();
+                    }
+                }
+            }
+            let mut touched: Vec<usize> =
+                active.touched_queues().iter().map(|&q| q as usize).collect();
+            touched.sort_unstable();
+            let full = folded(&flat, size, 0..links);
+            iadm_check::check_assert_eq!(folded(&active, size, touched), full);
+            iadm_check::check_assert_eq!(folded(&active, size, 0..links), full);
+        }
+    }
 
     #[test]
     fn mean_latency_handles_empty() {

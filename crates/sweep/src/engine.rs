@@ -28,9 +28,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Stream constant separating a run's *fault* seed from its *traffic*
-/// seed (both derive from the run seed; they must not collide). Public so
-/// the CLI's single-run `simulate --faults` path realizes scenarios
-/// exactly the way a sweep run with the same seed would.
+/// seed (both derive from the run seed; they must not collide).
 pub const FAULT_SEED_STREAM: u64 = 0xFA17;
 
 /// Stream constant for the *transient* fault timeline — a third seed
@@ -41,9 +39,7 @@ pub const TIMELINE_SEED_STREAM: u64 = 0x71ED;
 
 /// Stream constant for the closed-loop *workload* generator — a fourth
 /// seed stream, so think-time draws never correlate with traffic, fault
-/// realization, or timeline randomness. Public so the CLI's single-run
-/// `simulate --workload` path seeds the generator exactly the way a
-/// sweep run with the same seed would.
+/// realization, or timeline randomness.
 pub const WORKLOAD_SEED_STREAM: u64 = 0x3C10;
 
 /// One completed run: the resolved spec, the number of faulty links its
@@ -85,19 +81,69 @@ pub struct RunBases {
 }
 
 impl RunBases {
+    /// Builds the route table for `blockages` and counts them.
+    pub fn new(blockages: BlockageMap) -> RunBases {
+        let lut = Arc::new(RouteLut::new(blockages.size(), &blockages));
+        RunBases {
+            faults: blockages.blocked_count(),
+            blockages: Arc::new(blockages),
+            lut,
+        }
+    }
+
     /// Realizes `run`'s scenario and builds its route table — the
     /// `O(topology)` setup shared bases exist to amortize.
     pub fn realize(run: &RunSpec) -> RunBases {
-        let blockages = Arc::new(
-            run.scenario
-                .realize(run.size, iadm_rng::mix(run.seed, FAULT_SEED_STREAM)),
+        RunBases::new(run.blockages())
+    }
+}
+
+impl RunSpec {
+    /// The initial fault map this run's scenario realizes, from
+    /// `mix(seed, FAULT_SEED_STREAM)`.
+    pub fn blockages(&self) -> BlockageMap {
+        self.scenario
+            .realize(self.size, iadm_rng::mix(self.seed, FAULT_SEED_STREAM))
+    }
+
+    /// The simulator for this run over `bases`: the one place a run is
+    /// built. The transient timeline seeds from
+    /// `mix(seed, TIMELINE_SEED_STREAM)`, a closed-loop workload from
+    /// `mix(seed, WORKLOAD_SEED_STREAM)` and the traffic from `seed`, so
+    /// the run is fully determined by the spec and its bases.
+    pub fn simulator(&self, bases: &RunBases) -> Simulator {
+        let timeline = self.scenario.timeline(
+            self.size,
+            iadm_rng::mix(self.seed, TIMELINE_SEED_STREAM),
+            self.cycles as u64,
         );
-        let faults = blockages.blocked_count();
-        let lut = Arc::new(RouteLut::new(run.size, &blockages));
-        RunBases {
-            blockages,
-            lut,
-            faults,
+        let config = SimConfig {
+            size: self.size,
+            queue_capacity: self.queue_capacity,
+            cycles: self.cycles,
+            warmup: self.warmup,
+            offered_load: self.offered_load,
+            seed: self.seed,
+            engine: self.engine,
+        };
+        let sim = Simulator::with_shared_lut(
+            config,
+            self.policy,
+            self.pattern.clone(),
+            bases.blockages.clone(),
+            bases.lut.clone(),
+            timeline,
+        )
+        .with_switching_mode(self.mode)
+        .with_lane_arbitration(self.arbitration)
+        .with_tag_repair(self.tag_repair)
+        .with_workload(
+            &self.workload,
+            iadm_rng::mix(self.seed, WORKLOAD_SEED_STREAM),
+        );
+        match self.converge {
+            Some((window, tol)) => sim.with_convergence(window, tol),
+            None => sim,
         }
     }
 }
@@ -148,51 +194,6 @@ pub fn build_shared_bases(runs: &[RunSpec]) -> HashMap<(usize, String), RunBases
     bases
 }
 
-/// Simulates one grid point over `bases` (shared, or `None` to build
-/// fresh), returning the realized fault count and the statistics.
-fn run_stats(run: &RunSpec, bases: Option<&RunBases>) -> (usize, SimStats) {
-    let timeline = run.scenario.timeline(
-        run.size,
-        iadm_rng::mix(run.seed, TIMELINE_SEED_STREAM),
-        run.cycles as u64,
-    );
-    let config = SimConfig {
-        size: run.size,
-        queue_capacity: run.queue_capacity,
-        cycles: run.cycles,
-        warmup: run.warmup,
-        offered_load: run.offered_load,
-        seed: run.seed,
-        engine: run.engine,
-    };
-    let workload_seed = iadm_rng::mix(run.seed, WORKLOAD_SEED_STREAM);
-    let owned;
-    let bases = match bases {
-        Some(shared) => shared,
-        None => {
-            owned = RunBases::realize(run);
-            &owned
-        }
-    };
-    let mut sim = Simulator::with_shared_lut(
-        config,
-        run.policy,
-        run.pattern.clone(),
-        bases.blockages.clone(),
-        bases.lut.clone(),
-        timeline,
-    )
-    .with_switching_mode(run.mode)
-    .with_lane_arbitration(run.arbitration)
-    .with_tag_repair(run.tag_repair)
-    .with_workload(&run.workload, workload_seed);
-    if let Some((window, tol)) = run.converge {
-        sim = sim.with_convergence(window, tol);
-    }
-    let stats = sim.run();
-    (bases.faults, stats)
-}
-
 /// Executes one grid point. Fully deterministic in the `RunSpec` alone:
 /// the fault scenario realizes from `mix(seed, FAULT_SEED_STREAM)`, its
 /// transient timeline from `mix(seed, TIMELINE_SEED_STREAM)`, its
@@ -201,11 +202,11 @@ fn run_stats(run: &RunSpec, bases: Option<&RunBases>) -> (usize, SimStats) {
 /// Builds its bases from scratch — the campaign executor's shared-bases
 /// fast path must agree with this byte-for-byte (tested below).
 pub fn execute_run(run: &RunSpec) -> RunRecord {
-    let (faults, stats) = run_stats(run, None);
+    let bases = RunBases::realize(run);
     RunRecord {
         spec: run.clone(),
-        faults,
-        stats,
+        faults: bases.faults,
+        stats: run.simulator(&bases).run(),
     }
 }
 
@@ -243,8 +244,16 @@ pub(crate) fn execute_pool(
     assert!(threads >= 1, "thread count must be at least 1");
     let complete = |i: usize| -> Completion {
         let run = &runs[i];
-        let shared = base_key(run).and_then(|key| bases.get(&key));
-        let (faults, stats) = run_stats(run, shared);
+        let realized;
+        let base = match base_key(run).and_then(|key| bases.get(&key)) {
+            Some(shared) => shared,
+            None => {
+                realized = RunBases::realize(run);
+                &realized
+            }
+        };
+        let faults = base.faults;
+        let stats = run.simulator(base).run();
         let encoded = encode.then(|| crate::report::run_json(run, faults, &stats).encode());
         Completion {
             index: run.index,

@@ -2,8 +2,8 @@
 
 use iadm_fault::scenario::{KindFilter, ScenarioSpec};
 use iadm_sim::{
-    EngineKind, LaneArbitration, RoutingPolicy, SwitchingMode, TagRepair, TrafficPattern,
-    WorkloadSpec,
+    EngineKind, LaneArbitration, RoutingPolicy, SimConfig, SwitchingMode, TagRepair,
+    TrafficPattern, WorkloadSpec,
 };
 use iadm_topology::Size;
 
@@ -44,9 +44,10 @@ pub struct SweepSpec {
     /// *identical* fault timeline — the recovery comparison is
     /// apples-to-apples. Inert for every policy but `tsdt`.
     pub tag_repairs: Vec<TagRepair>,
-    /// Scheduling engines (synchronous and/or event-driven; statistics
-    /// are engine-independent, so this axis is for performance
-    /// comparison and differential testing).
+    /// Scheduling engines (synchronous and/or event-driven). Statistics
+    /// are engine-independent and the two run at the same low-load rate,
+    /// so this axis is for differential testing: runs that differ only
+    /// in engine share a seed and must agree byte-for-byte.
     pub engines: Vec<EngineKind>,
     /// Fault scenarios.
     pub scenarios: Vec<ScenarioSpec>,
@@ -115,6 +116,35 @@ pub struct RunSpec {
     pub seed: u64,
 }
 
+/// The one-point `custom` campaign: N = 8, load 0.5, queue 4, SSDT,
+/// uniform traffic, store-and-forward, open loop, first-free lanes,
+/// aware repair, the synchronous engine, no faults, 2000 cycles with a
+/// 400-cycle warm-up, seed 1. `iadm sweep` edits it with its axis flags
+/// and `iadm simulate` runs its one point, so both commands share these
+/// defaults.
+impl Default for SweepSpec {
+    fn default() -> SweepSpec {
+        SweepSpec {
+            name: "custom".into(),
+            sizes: vec![8],
+            loads: vec![0.5],
+            queue_capacities: vec![4],
+            policies: vec![RoutingPolicy::SsdtBalance],
+            patterns: vec![TrafficPattern::Uniform],
+            modes: vec![SwitchingMode::StoreForward],
+            workloads: vec![WorkloadSpec::OpenLoop],
+            arbitrations: vec![LaneArbitration::FirstFree],
+            tag_repairs: vec![TagRepair::Aware],
+            engines: vec![EngineKind::Synchronous],
+            scenarios: vec![ScenarioSpec::None],
+            cycles: 2000,
+            warmup: 400,
+            converge: None,
+            campaign_seed: 1,
+        }
+    }
+}
+
 impl SweepSpec {
     /// The length of every axis, in the canonical (outermost-first)
     /// expansion order. The single source of truth for the grid shape:
@@ -148,8 +178,10 @@ impl SweepSpec {
     /// arbitration, tag-repair, engine, scenario — the innermost axis
     /// varies fastest) with derived per-run seeds.
     ///
-    /// Validates every axis value; an empty axis or an out-of-range
-    /// entry is an error, not a silent no-op.
+    /// Validates every axis value, including the simulator's own limits
+    /// ([`SimConfig::validate`]), so every returned run builds; an empty
+    /// axis or an out-of-range entry is an error, not a silent no-op or
+    /// a panic mid-campaign.
     pub fn expand(&self) -> Result<Vec<RunSpec>, String> {
         if self.grid_len() == 0 {
             return Err("sweep spec has an empty axis (zero runs)".into());
@@ -180,14 +212,6 @@ impl SweepSpec {
                     self.cycles
                 ));
             }
-        }
-        for &load in &self.loads {
-            if !(0.0..=1.0).contains(&load) {
-                return Err(format!("offered load {load} out of [0, 1]"));
-            }
-        }
-        if self.queue_capacities.contains(&0) {
-            return Err("queue capacity must be positive".into());
         }
         for &mode in &self.modes {
             if let SwitchingMode::Wormhole { flits, lanes } = mode {
@@ -233,6 +257,19 @@ impl SweepSpec {
             }
             for &offered_load in &self.loads {
                 for &queue_capacity in &self.queue_capacities {
+                    // The simulator's own limits (load range, timestamp
+                    // and ring-offset widths), checked once per
+                    // (size, load, capacity) rather than per run.
+                    SimConfig {
+                        size,
+                        queue_capacity,
+                        cycles: self.cycles,
+                        warmup: self.warmup,
+                        offered_load,
+                        seed: self.campaign_seed,
+                        engine: EngineKind::default(),
+                    }
+                    .validate()?;
                     for &policy in &self.policies {
                         for pattern in &self.patterns {
                             for &mode in &self.modes {
