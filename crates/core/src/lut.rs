@@ -19,10 +19,9 @@
 //! link-fault availability into one byte per entry, built once per
 //! simulation instead of re-derived per packet per hop.
 
-use crate::connect::delta_c_kind;
 use crate::state::SwitchState;
 use iadm_fault::BlockageMap;
-use iadm_topology::{Link, LinkKind, Size};
+use iadm_topology::{bit, LinkKind, Size};
 
 /// The paper's Figure 4 switching table as a constant: the output link of
 /// a switch as a function of its parity bit (`bit(j, i)`), the tag bit
@@ -114,12 +113,16 @@ impl RouteLut {
     /// Panics if `blockages` is for a different size.
     pub fn new(size: Size, blockages: &BlockageMap) -> Self {
         assert_eq!(blockages.size(), size, "blockage map size mismatch");
-        let mut entries = Vec::with_capacity(2 * size.n() * size.stages());
-        for stage in size.stage_indices() {
-            for sw in size.switches() {
-                for t in 0..2 {
-                    entries.push(entry_for(stage, sw, t, blockages));
-                }
+        let n = size.n();
+        let mut entries = vec![LutEntry(0); 2 * n * size.stages()];
+        let rows = entries.chunks_exact_mut(2 * n);
+        for (stage, (pairs, links)) in rows.zip(blockages.slots().chunks_exact(3 * n)).enumerate() {
+            for (sw, (pair, blocked)) in pairs
+                .chunks_exact_mut(2)
+                .zip(links.chunks_exact(3))
+                .enumerate()
+            {
+                pair.copy_from_slice(&switch_entries(bit(sw, stage), blocked));
             }
         }
         RouteLut { size, entries }
@@ -138,10 +141,9 @@ impl RouteLut {
     /// out of bounds) if `stage` or `sw` is out of range.
     pub fn refresh_switch(&mut self, stage: usize, sw: usize, blockages: &BlockageMap) {
         assert_eq!(blockages.size(), self.size, "blockage map size mismatch");
-        let base = (stage * self.size.n() + sw) * 2;
-        for t in 0..2 {
-            self.entries[base + t] = entry_for(stage, sw, t, blockages);
-        }
+        let i = stage * self.size.n() + sw;
+        let pair = switch_entries(bit(sw, stage), &blockages.slots()[3 * i..3 * i + 3]);
+        self.entries[2 * i..2 * i + 2].copy_from_slice(&pair);
     }
 
     /// The network size this table covers.
@@ -158,18 +160,17 @@ impl RouteLut {
         if blockages.size() != self.size {
             return false;
         }
-        let mut i = 0;
-        for stage in self.size.stage_indices() {
-            for sw in self.size.switches() {
-                for t in 0..2 {
-                    if self.entries[i] != entry_for(stage, sw, t, blockages) {
-                        return false;
-                    }
-                    i += 1;
-                }
-            }
-        }
-        true
+        let n = self.size.n();
+        let rows = self.entries.chunks_exact(2 * n);
+        rows.zip(blockages.slots().chunks_exact(3 * n))
+            .enumerate()
+            .all(|(stage, (pairs, links))| {
+                pairs
+                    .chunks_exact(2)
+                    .zip(links.chunks_exact(3))
+                    .enumerate()
+                    .all(|(sw, (pair, blocked))| *pair == switch_entries(bit(sw, stage), blocked))
+            })
     }
 
     /// The entry for switch `sw` of `stage` under tag bit `t`.
@@ -184,30 +185,105 @@ impl RouteLut {
     }
 }
 
-/// The packed entry for `(stage, sw, t)` under `blockages` — shared by
-/// the full build and the per-switch refresh so the two can never drift.
-fn entry_for(stage: usize, sw: usize, t: usize, blockages: &BlockageMap) -> LutEntry {
-    let c = delta_c_kind(sw, stage, t);
-    let mut packed = c.index() as u8;
-    if c == LinkKind::Straight {
-        packed |= LutEntry::STRAIGHT;
-    }
-    if blockages.is_free(Link::new(stage, sw, c)) {
-        packed |= LutEntry::C_FREE;
-    }
-    if blockages.is_free(Link::new(stage, sw, c.opposite())) {
-        packed |= LutEntry::CBAR_FREE;
-    }
-    LutEntry(packed)
+/// The entry pair (`t = 0`, `t = 1`) of a switch with parity bit
+/// `parity` whose three output links have the blocked flags `blocked`
+/// (in [`LinkKind::index`] order, as [`BlockageMap::slots`] stores
+/// them) — the one derivation behind [`RouteLut::new`],
+/// [`RouteLut::refresh_switch`] and [`RouteLut::matches`], so the three
+/// can never drift.
+#[inline]
+fn switch_entries(parity: usize, blocked: &[bool]) -> [LutEntry; 2] {
+    let free =
+        usize::from(!blocked[0]) | usize::from(!blocked[1]) << 1 | usize::from(!blocked[2]) << 2;
+    ENTRIES_BY_PARITY_FREE[parity][free]
 }
+
+/// Every entry pair a switch can hold, indexed by its parity bit and its
+/// *free mask* (bit `k` set when the output link of kind index `k` is
+/// free): [`KIND_BY_PARITY_TAG_STATE`] with each candidate's freedom
+/// flag resolved ahead of time.
+const ENTRIES_BY_PARITY_FREE: [[[LutEntry; 2]; 8]; 2] = {
+    let mut table = [[[LutEntry(0); 2]; 8]; 2];
+    let mut parity = 0;
+    while parity < 2 {
+        let mut free = 0;
+        while free < 8 {
+            let mut t = 0;
+            while t < 2 {
+                let c = KIND_BY_PARITY_TAG_STATE[parity][t][0].index();
+                let cbar = KIND_BY_PARITY_TAG_STATE[parity][t][1].index();
+                let mut packed = c as u8;
+                if c == LinkKind::Straight.index() {
+                    packed |= LutEntry::STRAIGHT;
+                }
+                if free >> c & 1 == 1 {
+                    packed |= LutEntry::C_FREE;
+                }
+                if free >> cbar & 1 == 1 {
+                    packed |= LutEntry::CBAR_FREE;
+                }
+                table[parity][free][t] = LutEntry(packed);
+                t += 1;
+            }
+            free += 1;
+        }
+        parity += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connect::{delta_cbar_kind, route_kind};
+    use crate::connect::{delta_c_kind, delta_cbar_kind, route_kind};
     use iadm_fault::scenario::{self, KindFilter};
     use iadm_rng::{Rng, StdRng};
-    use iadm_topology::bit;
+    use iadm_topology::Link;
+
+    /// The per-entry oracle: the packed entry for `(stage, sw, t)`
+    /// derived from the connection function and two map lookups.
+    fn entry_for(stage: usize, sw: usize, t: usize, blockages: &BlockageMap) -> LutEntry {
+        let c = delta_c_kind(sw, stage, t);
+        let mut packed = c.index() as u8;
+        if c == LinkKind::Straight {
+            packed |= LutEntry::STRAIGHT;
+        }
+        if blockages.is_free(Link::new(stage, sw, c)) {
+            packed |= LutEntry::C_FREE;
+        }
+        if blockages.is_free(Link::new(stage, sw, c.opposite())) {
+            packed |= LutEntry::CBAR_FREE;
+        }
+        LutEntry(packed)
+    }
+
+    #[test]
+    fn per_switch_build_equals_the_per_entry_oracle() {
+        // Exhaustive over every (stage, switch, t) for every size up to
+        // N = 1024, under random fault maps of increasing density.
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        for log in 1..=10 {
+            let size = Size::new(1 << log).unwrap();
+            for faults in [0usize, 1, 5, 40] {
+                let faults = faults.min(Link::slot_count(size));
+                let map = scenario::random_faults(&mut rng, size, faults, KindFilter::Any);
+                let lut = RouteLut::new(size, &map);
+                for stage in size.stage_indices() {
+                    for sw in size.switches() {
+                        for t in 0..2 {
+                            assert_eq!(
+                                lut.entry(stage, sw, t),
+                                entry_for(stage, sw, t, &map),
+                                "N={} faults={faults} stage={stage} sw={sw} t={t}",
+                                size.n()
+                            );
+                        }
+                    }
+                }
+                assert!(lut.matches(&map));
+            }
+        }
+    }
 
     #[test]
     fn figure4_table_matches_route_kind_exhaustively() {

@@ -118,6 +118,14 @@ impl BlockageMap {
         }
     }
 
+    /// The blocked flag of every link slot, indexed by
+    /// [`Link::flat_index`]: a switch's three output links are adjacent,
+    /// in [`LinkKind::index`] order, and switches follow in
+    /// `(stage, switch)` order.
+    pub fn slots(&self) -> &[bool] {
+        &self.blocked
+    }
+
     /// Number of blocked links.
     pub fn blocked_count(&self) -> usize {
         self.count
@@ -193,6 +201,23 @@ mod tests {
 
     fn size8() -> Size {
         Size::new(8).unwrap()
+    }
+
+    #[test]
+    fn slots_are_the_blocked_flags_in_flat_index_order() {
+        let size = size8();
+        let mut m = BlockageMap::new(size);
+        m.block(Link::plus(1, 2));
+        m.block(Link::straight(2, 7));
+        assert_eq!(m.slots().len(), Link::slot_count(size));
+        for stage in size.stage_indices() {
+            for from in size.switches() {
+                for kind in LinkKind::ALL {
+                    let link = Link::new(stage, from, kind);
+                    assert_eq!(m.slots()[link.flat_index(size)], m.is_blocked(link));
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@ use crate::event::{Event, EventQueue};
 use crate::packet::Packet;
 use crate::queue::{LaneArbitration, QueueArena, ReservationTable};
 use crate::stats::SimStats;
+use crate::tags::{Lookup, TagCache, TagRepair};
 use iadm_core::lut::{kind_for, RouteLut};
-use iadm_core::{NetworkState, SwitchState, TsdtTag};
+use iadm_core::{NetworkState, SwitchState};
 use iadm_fault::{BlockageMap, FaultTimeline};
 use iadm_rng::{Rng, RngCore, StdRng};
 use iadm_topology::{bit, Link, LinkKind, Size};
@@ -543,151 +544,6 @@ impl PolicyCtx<'_> {
     }
 }
 
-/// How the sender-side TSDT tag cache reacts to a link *repair* event
-/// ([`Simulator::with_tag_repair`]). Failures always invalidate the whole
-/// cache — a stale tag could steer straight into the new fault — but a
-/// repair only ever *unblocks* paths, so the two modes differ in how
-/// quickly senders rediscover them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TagRepair {
-    /// Repairs lazily invalidate exactly the affected lines (refusals and
-    /// bent tags, which a wider map could improve); clean all-C tags are
-    /// repair-invariant and keep hitting. Byte-identical routing behavior
-    /// to a full invalidation on repair — see DESIGN.md §13 — at O(1)
-    /// per event and per lookup. The default.
-    #[default]
-    Aware,
-    /// Repairs do not touch the cache: senders replay stale refusals and
-    /// bent tags until the *next failure's* epoch turnover recomputes
-    /// them. Still correct (a stale outcome never routes into a fault —
-    /// the map only got wider) but slower to recover; the E20 baseline.
-    Blind,
-}
-
-/// A direct-mapped cache of sender-computed TSDT tags, one way per
-/// `(source, dest mod SLOTS)` line. REROUTE is a pure function of the
-/// blockage map and the `(source, dest)` pair, so a hit replays the
-/// stored outcome — including the "provably disconnected, refuse at the
-/// source" case — without rerunning the algorithm. Every line is stamped
-/// with the *map epoch* it was computed under; a transient link failure
-/// bumps the epoch ([`TagCache::invalidate_all`], O(1)), so tags derived
-/// from a superseded map can never be replayed (a stale tag could steer
-/// straight into the new fault, which would be a misroute or a bogus
-/// drop). Link *repairs* only widen the map, so they advance a separate
-/// repair epoch instead ([`TagCache::note_repair`]): clean all-C tags —
-/// REROUTE starts from the all-C default path and only bends it around
-/// blockages, so a tag with zero state bits proves that path was already
-/// free — stay valid forever, while refusals and bent tags from before
-/// the repair miss lazily and recompute ([`Lookup::RepairStale`]).
-#[derive(Debug)]
-struct TagCache {
-    /// Cache lines per source (a power of two; 0 when the cache is off).
-    slots: usize,
-    /// The current blockage-map version; lines from older epochs miss.
-    epoch: u64,
-    /// The current repair version; lines from older repair epochs miss
-    /// when their outcome could have improved. Frozen under
-    /// [`TagRepair::Blind`].
-    repair_epoch: u64,
-    /// Whether repair events advance `repair_epoch`.
-    repair: TagRepair,
-    /// `sources * slots` lines; `None` = cold line.
-    lines: Vec<Option<TagLine>>,
-}
-
-/// One occupied [`TagCache`] line: `(dest, epoch, repair_epoch, outcome)`,
-/// where a `None` outcome is a cached refusal (provably disconnected).
-type TagLine = (u32, u64, u64, Option<TsdtTag>);
-
-/// One [`TagCache::lookup`] result.
-enum Lookup {
-    /// The line holds a valid outcome for this `(source, dest)` pair.
-    Hit(Option<TsdtTag>),
-    /// Cold line, conflicting destination, or a superseded map epoch.
-    Miss,
-    /// The line's refusal or bent tag predates a repair that could have
-    /// improved it — the repair-aware re-tag trigger
-    /// (`retags_on_repair`).
-    RepairStale,
-}
-
-impl TagCache {
-    /// Lines per source: the whole destination space for small networks,
-    /// capped so large networks stay at a few MiB.
-    const MAX_SLOTS: usize = 256;
-
-    fn new(size: Size) -> Self {
-        let slots = size.n().min(Self::MAX_SLOTS);
-        TagCache {
-            slots,
-            epoch: 0,
-            repair_epoch: 0,
-            repair: TagRepair::default(),
-            lines: vec![None; size.n() * slots],
-        }
-    }
-
-    /// The empty cache for policies that never consult it.
-    fn off() -> Self {
-        TagCache {
-            slots: 0,
-            epoch: 0,
-            repair_epoch: 0,
-            repair: TagRepair::default(),
-            lines: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn line(&self, source: usize, dest: usize) -> usize {
-        source * self.slots + (dest & (self.slots - 1))
-    }
-
-    #[inline]
-    fn lookup(&self, source: usize, dest: usize) -> Lookup {
-        match self.lines[self.line(source, dest)] {
-            Some((d, epoch, repaired, outcome)) if d as usize == dest && epoch == self.epoch => {
-                // A clean tag (zero state bits) pins the blockage-free
-                // all-C path REROUTE starts from; no amount of repair
-                // changes what it would recompute. Anything else could
-                // improve under a wider map.
-                if repaired == self.repair_epoch
-                    || matches!(outcome, Some(tag) if tag.state_bits() == 0)
-                {
-                    Lookup::Hit(outcome)
-                } else {
-                    Lookup::RepairStale
-                }
-            }
-            _ => Lookup::Miss,
-        }
-    }
-
-    #[inline]
-    fn put(&mut self, source: usize, dest: usize, outcome: Option<TsdtTag>) {
-        let line = self.line(source, dest);
-        self.lines[line] = Some((dest as u32, self.epoch, self.repair_epoch, outcome));
-    }
-
-    /// Invalidates every line by advancing the map epoch — called when a
-    /// link *fails* mid-run (the map narrowed; every cached outcome is
-    /// suspect).
-    #[inline]
-    fn invalidate_all(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Notes a link *repair* (the map widened): advances the repair
-    /// epoch, lazily invalidating exactly the lines whose outcome could
-    /// have improved. A no-op under [`TagRepair::Blind`].
-    #[inline]
-    fn note_repair(&mut self) {
-        if self.repair == TagRepair::Aware {
-            self.repair_epoch += 1;
-        }
-    }
-}
-
 /// All event-driven-engine state, boxed into an `Option` on the
 /// [`Simulator`]: `None` means synchronous and costs the hot path
 /// exactly one branch at the top of [`Simulator::step`] (the same
@@ -1019,7 +875,7 @@ impl Simulator {
             source_queues: vec![VecDeque::new(); size.n()],
             source_bits: vec![0; size.n().div_ceil(64)],
             tag_cache: if policy == RoutingPolicy::TsdtSender {
-                TagCache::new(size)
+                TagCache::new(size, timeline.len())
             } else {
                 TagCache::off()
             },
@@ -1454,13 +1310,13 @@ impl Simulator {
             // The sender consults the controller's blockage map (through
             // the per-source tag cache).
             match self.sender_tag(s, dest) {
-                Some(tag) => {
+                Some(state) => {
                     // A nonzero state word means REROUTE steered around
                     // at least one blockage.
-                    if tag.state_bits() != 0 {
+                    if state != 0 {
                         self.stats.reroutes += 1;
                     }
-                    Packet::with_tag(dest, self.cycle, tag)
+                    Packet::with_tag_bits(dest, self.cycle, state)
                 }
                 None => {
                     self.stats.refused += 1;
@@ -1498,19 +1354,21 @@ impl Simulator {
         ctx.decide(&self.queues, stage, sw, dest, tag_state)
     }
 
-    /// The sender-side TSDT tag for `(source, dest)`: the cached REROUTE
-    /// outcome when the direct-mapped line holds it, otherwise a fresh
-    /// REROUTE whose outcome (tag, or "provably disconnected") fills the
-    /// line. A miss caused purely by an intervening link repair is the
-    /// repair-aware re-tag path, counted in `retags_on_repair`.
-    fn sender_tag(&mut self, source: usize, dest: usize) -> Option<TsdtTag> {
+    /// The state bits of the sender-side TSDT tag for `(source, dest)`:
+    /// the cached REROUTE outcome when the direct-mapped line holds it,
+    /// otherwise a fresh REROUTE whose outcome (tag, or "provably
+    /// disconnected") fills the line. A miss caused purely by an
+    /// intervening link repair is the repair-aware re-tag path, counted
+    /// in `retags_on_repair`.
+    fn sender_tag(&mut self, source: usize, dest: usize) -> Option<u32> {
         match self.tag_cache.lookup(source, dest) {
             Lookup::Hit(outcome) => return outcome,
             Lookup::Miss => {}
             Lookup::RepairStale => self.stats.retags_on_repair += 1,
         }
-        let outcome =
-            iadm_core::reroute::reroute(self.config.size, &self.blockages, source, dest).ok();
+        let outcome = iadm_core::reroute::reroute(self.config.size, &self.blockages, source, dest)
+            .ok()
+            .map(|tag| tag.state_bits() as u32);
         self.tag_cache.put(source, dest, outcome);
         outcome
     }
@@ -1687,7 +1545,7 @@ impl Simulator {
                         continue;
                     }
                     // Peek only the routing fields through the borrow; the
-                    // 32-byte packet is copied once, inside pop -> push.
+                    // 16-byte packet is copied once, inside pop -> push.
                     let head = self.queues.head(q).expect("non-empty queue has a head");
                     let (dest, tag_state) = (head.dest, head.tag_state());
                     match self.decide(stage + 1, to, dest, tag_state) {

@@ -56,6 +56,7 @@ mod event;
 mod packet;
 mod queue;
 mod stats;
+mod tags;
 
 // The histogram and traffic-pattern types moved to `iadm-workload`
 // together with the rest of the workload subsystem; these re-exports
@@ -63,7 +64,7 @@ mod stats;
 pub use iadm_workload::histogram;
 
 pub use engine::{
-    run_once, EngineKind, LaneLedger, RoutingPolicy, SimConfig, Simulator, SwitchingMode, TagRepair,
+    run_once, EngineKind, LaneLedger, RoutingPolicy, SimConfig, Simulator, SwitchingMode,
 };
 // Re-exported so campaign engines can prebuild shared route tables for
 // [`Simulator::with_shared_lut`] without depending on `iadm-core`.
@@ -76,3 +77,4 @@ pub use iadm_workload::{
 pub use packet::Packet;
 pub use queue::{LaneArbitration, QueueArena, ReservationTable};
 pub use stats::SimStats;
+pub use tags::TagRepair;

@@ -1,7 +1,7 @@
 //! Packets: the simulated messages.
 
-use iadm_core::TsdtTag;
 use iadm_workload::NO_OP;
+use std::mem::size_of;
 
 /// A message in flight: carries only its destination tag (the paper's
 /// point — no distance computation anywhere) plus the injection cycle for
@@ -9,10 +9,10 @@ use iadm_workload::NO_OP;
 /// additionally carries the state half of the 2n-bit TSDT tag the sender
 /// derived from the global blockage map (the destination half *is*
 /// [`Packet::dest`], and the network size is the simulator's — so the
-/// full [`TsdtTag`] can be reconstructed). Workload-tracked packets also
-/// carry their operation id ([`Packet::op`]; `NO_OP` for open-loop
-/// traffic), so the engine can tell the workload which request a
-/// delivery or loss belonged to. Nothing else travels: no packet id, no
+/// full [`TsdtTag`](iadm_core::TsdtTag) can be reconstructed).
+/// Workload-tracked packets also carry their operation id
+/// ([`Packet::op`]; `NO_OP` for open-loop traffic), so the engine can
+/// tell the workload which request a delivery or loss belonged to. Nothing else travels: no packet id, no
 /// source — and at 16 bytes four packets share a cache line in the queue
 /// arena, which the N = 1024 hot path depends on (the TSDT state word is
 /// sentinel-packed into a bare `u32` rather than an 8-byte `Option` to
@@ -57,16 +57,14 @@ impl Packet {
         }
     }
 
-    /// Creates a packet carrying a sender-computed TSDT tag. The tag's
-    /// destination bits must agree with `dest` (they are stored once);
+    /// Creates a packet carrying the state bits `tag_bits` of a
+    /// sender-computed TSDT tag (its destination half is `dest`);
     /// `injected_at` must fit the 32-bit timestamp field.
-    pub fn with_tag(dest: usize, injected_at: u64, tag: TsdtTag) -> Self {
-        debug_assert_eq!(tag.dest(), dest, "tag must route to the packet's dest");
+    pub(crate) fn with_tag_bits(dest: usize, injected_at: u64, tag_bits: u32) -> Self {
         debug_assert!(
             injected_at <= u64::from(u32::MAX),
             "injection cycle {injected_at} overflows the 32-bit timestamp"
         );
-        let tag_bits = tag.state_bits() as u32;
         debug_assert_ne!(tag_bits, Packet::NO_TAG, "state word hit the sentinel");
         Packet {
             dest: dest as u32,
@@ -93,10 +91,11 @@ impl Packet {
     }
 }
 
+const _: () = assert!(size_of::<Packet>() == 16);
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iadm_topology::Size;
 
     #[test]
     fn constructor_stores_fields() {
@@ -109,9 +108,7 @@ mod tests {
 
     #[test]
     fn tagged_constructor_keeps_state_bits_only() {
-        let size = Size::new(8).unwrap();
-        let tag = TsdtTag::with_state(size, 6, 0b011);
-        let p = Packet::with_tag(6, 100, tag);
+        let p = Packet::with_tag_bits(6, 100, 0b011);
         assert_eq!(p.dest, 6, "destination half lives in dest");
         assert_eq!(p.tag_state(), Some(0b011));
     }
@@ -121,8 +118,7 @@ mod tests {
         let p = Packet::new(3, 7).with_op(42);
         assert_eq!(p.op, 42);
         assert_eq!(p.tag_state(), None);
-        let size = Size::new(8).unwrap();
-        let tagged = Packet::with_tag(6, 9, TsdtTag::with_state(size, 6, 0)).with_op(8);
+        let tagged = Packet::with_tag_bits(6, 9, 0).with_op(8);
         assert_eq!(tagged.op, 8);
         assert_eq!(tagged.tag_state(), Some(0));
     }

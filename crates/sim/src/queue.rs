@@ -10,7 +10,7 @@
 //! queue's bookkeeping ([`QueueMeta`]) is one 32-byte record, so a
 //! push/pop touches a single metadata cache line instead of five
 //! parallel arrays. Slot validity is tracked by the ring `len`, not an
-//! `Option` per slot, so packets stay at their bare 32 bytes and a pop
+//! `Option` per slot, so packets stay at their bare 16 bytes and a pop
 //! never writes a tombstone back to the slab.
 //!
 //! Occupancy accounting: the old per-cycle `sample()` walk added every

@@ -40,7 +40,7 @@ impl LinkKind {
     /// workspace ([`Link::flat_index`], the simulator's queue arena, the
     /// routing LUT).
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             LinkKind::Minus => 0,
             LinkKind::Straight => 1,
