@@ -17,7 +17,7 @@ use iadm_analysis::{dot, enumerate, oracle, render};
 use iadm_core::route::{trace, trace_tsdt};
 use iadm_core::{reroute::reroute, NetworkState};
 use iadm_fault::BlockageMap;
-use iadm_sim::SimStats;
+use iadm_sim::{SimScratch, SimStats};
 use iadm_sweep::{RunBases, SweepSpec};
 use iadm_topology::{Adm, Gamma, GeneralizedCube, ICube, Iadm, Link, LinkKind, Size};
 use std::process::ExitCode;
@@ -397,7 +397,7 @@ fn simulate_stats(args: &Args) -> Result<SimStats, String> {
     };
     run.seed = spec.campaign_seed;
     let bases = RunBases::new(args.blocks_onto(run.size, run.blockages())?);
-    Ok(run.simulator(&bases).run())
+    Ok(run.simulator(&bases, &mut SimScratch::default()).run())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {

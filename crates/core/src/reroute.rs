@@ -10,11 +10,12 @@
 //! either a blockage-free tag or a proof that none exists.
 
 use crate::backtrack::{backtrack, backtrack_measured, BoundedFail, FailReason};
+use crate::connect::route_kind;
 use crate::route::trace_tsdt;
 use crate::tsdt::TsdtTag;
 use core::fmt;
 use iadm_fault::BlockageMap;
-use iadm_topology::Size;
+use iadm_topology::{Link, Size};
 
 /// Error returned by [`reroute`]: no blockage-free path exists between the
 /// source and the destination.
@@ -136,12 +137,12 @@ pub fn reroute_bounded(
     dest: usize,
     max_backtrack: usize,
 ) -> Result<(TsdtTag, usize), BoundedRerouteError> {
+    assert!(source < size.n(), "source {source} out of range for {size}");
     let mut tag = TsdtTag::new(size, dest);
-    let mut path = trace_tsdt(size, source, &tag);
     let mut last_resolved: Option<usize> = None;
     let mut max_used = 0usize;
     loop {
-        let Some(blocked) = blockages.first_blockage_on(&path) else {
+        let Some(blocked) = first_blockage(blockages, source, &tag) else {
             return Ok((tag, max_used));
         };
         let i = blocked.stage;
@@ -149,10 +150,10 @@ pub fn reroute_bounded(
             assert!(i > prev, "bounded REROUTE failed to make progress");
         }
         last_resolved = Some(i);
-        let kind = path.kind_at(i);
-        if kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
+        if blocked.kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
             tag = tag.corollary_4_1(i);
         } else {
+            let path = trace_tsdt(size, source, &tag);
             match backtrack_measured(blockages, &path, i, tag, max_backtrack) {
                 Ok((new_tag, used)) => {
                     tag = new_tag;
@@ -170,7 +171,6 @@ pub fn reroute_bounded(
                 }
             }
         }
-        path = trace_tsdt(size, source, &tag);
     }
 }
 
@@ -188,14 +188,13 @@ pub fn reroute_from(
     let size = tag.size();
     assert!(source < size.n(), "source {source} out of range for {size}");
     let mut tag = tag;
-    // Step 4/0: P is the path specified by the current tag.
-    let mut path = trace_tsdt(size, source, &tag);
     // Each iteration pushes the first blocked stage strictly higher, so n
     // iterations suffice; the guard detects broken invariants.
     let mut last_resolved: Option<usize> = None;
     loop {
-        // Step 1: the smallest blocked stage on P; none means success.
-        let Some(blocked) = blockages.first_blockage_on(&path) else {
+        // Steps 0/4 and 1: the smallest blocked stage on the path P the
+        // current tag specifies; none means success.
+        let Some(blocked) = first_blockage(blockages, source, &tag) else {
             return Ok(tag);
         };
         let i = blocked.stage;
@@ -207,21 +206,41 @@ pub fn reroute_from(
         }
         last_resolved = Some(i);
 
-        let kind = path.kind_at(i);
-        if kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
+        if blocked.kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
             // Step 2: single nonstraight blockage -> Corollary 4.1.
             tag = tag.corollary_4_1(i);
         } else {
-            // Step 3: straight or double nonstraight -> BACKTRACK.
+            // Step 3: straight or double nonstraight -> BACKTRACK, the
+            // one step that needs P itself.
+            let path = trace_tsdt(size, source, &tag);
             tag = backtrack(blockages, &path, i, tag).map_err(|reason| RerouteError {
                 reason,
                 source,
                 dest: tag.dest(),
             })?;
         }
-        // Step 4: recompute the rerouting path and iterate.
-        path = trace_tsdt(size, source, &tag);
     }
+}
+
+/// The first blocked link on the path `tag` specifies from `source`:
+/// `blockages.first_blockage_on(&trace_tsdt(size, source, tag))`, walked
+/// stage by stage without building the path. The sender runs this once
+/// per REROUTE iteration, for every packet it injects.
+fn first_blockage(blockages: &BlockageMap, source: usize, tag: &TsdtTag) -> Option<Link> {
+    if blockages.is_empty() {
+        return None;
+    }
+    let size = tag.size();
+    let mut sw = source;
+    for stage in size.stage_indices() {
+        let kind = route_kind(sw, stage, tag.dest_bit(stage), tag.switch_state(stage));
+        let link = Link::new(stage, sw, kind);
+        if blockages.is_blocked(link) {
+            return Some(link);
+        }
+        sw = kind.target(size, stage, sw);
+    }
+    None
 }
 
 #[cfg(test)]
@@ -343,6 +362,72 @@ mod tests {
         assert_eq!(err.source, 5);
         assert_eq!(err.dest, 5);
         assert!(err.to_string().contains("no blockage-free path"));
+    }
+}
+
+#[cfg(test)]
+mod walk_tests {
+    use super::*;
+
+    /// REROUTE as it was before the first blockage was found by walking
+    /// the tag: every iteration traces the whole path and searches it.
+    fn reroute_traced(
+        size: Size,
+        blockages: &BlockageMap,
+        source: usize,
+        dest: usize,
+    ) -> Result<TsdtTag, RerouteError> {
+        let mut tag = TsdtTag::new(size, dest);
+        let mut path = trace_tsdt(size, source, &tag);
+        let mut last_resolved: Option<usize> = None;
+        loop {
+            let Some(blocked) = blockages.first_blockage_on(&path) else {
+                return Ok(tag);
+            };
+            let i = blocked.stage;
+            if let Some(prev) = last_resolved {
+                assert!(i > prev);
+            }
+            last_resolved = Some(i);
+            let kind = path.kind_at(i);
+            if kind.is_nonstraight() && blockages.is_free(blocked.opposite()) {
+                tag = tag.corollary_4_1(i);
+            } else {
+                tag = backtrack(blockages, &path, i, tag).map_err(|reason| RerouteError {
+                    reason,
+                    source,
+                    dest: tag.dest(),
+                })?;
+            }
+            path = trace_tsdt(size, source, &tag);
+        }
+    }
+
+    iadm_check::check! {
+        /// The walking REROUTE returns exactly what the path-tracing one
+        /// does, tag or error, for every (s, d) pair under random maps
+        /// with 1-40% of the links blocked (many of them disconnecting
+        /// some pairs).
+        fn walking_reroute_equals_the_traced_loop(g; cases = 24) {
+            let size = Size::new([8, 16, 64][g.usize_in(0..=2)]).expect("power of two");
+            let share = g.usize_in(1..=40) as f64 / 100.0;
+            let mut rng = g.rng();
+            let blockages = iadm_fault::scenario::bernoulli_faults(
+                &mut rng,
+                size,
+                share,
+                iadm_fault::scenario::KindFilter::Any,
+            );
+            for s in size.switches() {
+                for d in size.switches() {
+                    iadm_check::check_assert_eq!(
+                        reroute(size, &blockages, s, d),
+                        reroute_traced(size, &blockages, s, d),
+                        "s={s} d={d}"
+                    );
+                }
+            }
+        }
     }
 }
 

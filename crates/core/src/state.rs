@@ -85,6 +85,15 @@ impl NetworkState {
         }
     }
 
+    /// Re-sizes the state to `size` with every switch in state `C`
+    /// (equal to [`NetworkState::all_c`]`(size)`), reusing the
+    /// allocation.
+    pub fn reset(&mut self, size: Size) {
+        self.size = size;
+        self.words.clear();
+        self.words.resize(size.switch_count().div_ceil(64), 0);
+    }
+
     /// All switches in state `C̄`.
     pub fn all_cbar(size: Size) -> Self {
         let mut st = NetworkState::all_c(size);

@@ -68,14 +68,27 @@ pub fn random_faults<R: Rng>(
     count: usize,
     filter: KindFilter,
 ) -> BlockageMap {
-    let mut links = candidate_links(size, filter);
+    // Shuffles positions in `candidate_links` order rather than the
+    // 24-byte links themselves: the same draws (a shuffle's draws depend
+    // only on the length), the same first `count` links, a sixth of the
+    // memory traffic.
+    let kinds: Vec<LinkKind> = LinkKind::ALL
+        .into_iter()
+        .filter(|&k| filter.admits(k))
+        .collect();
+    let total = candidate_count(size, filter);
     assert!(
-        count <= links.len(),
-        "requested {count} faults but only {} candidate links",
-        links.len()
+        count <= total,
+        "requested {count} faults but only {total} candidate links"
     );
-    links.shuffle(rng);
-    BlockageMap::from_links(size, links.into_iter().take(count))
+    let total = u32::try_from(total).expect("candidate positions fit in u32");
+    let mut positions: Vec<u32> = (0..total).collect();
+    positions.shuffle(rng);
+    let link = |p: u32| {
+        let (switch, kind) = (p as usize / kinds.len(), kinds[p as usize % kinds.len()]);
+        Link::new(switch / size.n(), switch % size.n(), kind)
+    };
+    BlockageMap::from_links(size, positions[..count].iter().map(|&p| link(p)))
 }
 
 /// Blocks each admissible link independently with probability `p`.
@@ -175,6 +188,32 @@ mod tests {
         assert!(m.is_blocked(Link::plus(2, 4)));
         assert!(m.is_blocked(Link::minus(2, 4)));
         assert!(m.is_free(Link::straight(2, 4)));
+    }
+
+    #[test]
+    fn random_faults_equal_the_shuffled_link_list() {
+        // The reference: shuffle the candidate links themselves.
+        for n in [2usize, 8, 64] {
+            let size = Size::new(n).unwrap();
+            for filter in [
+                KindFilter::Any,
+                KindFilter::NonstraightOnly,
+                KindFilter::StraightOnly,
+            ] {
+                let total = candidate_count(size, filter);
+                for seed in 0..20u64 {
+                    let count = (seed as usize * 7) % (total + 1);
+                    let mut links = candidate_links(size, filter);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    links.shuffle(&mut rng);
+                    let reference = BlockageMap::from_links(size, links.into_iter().take(count));
+                    let mut same = StdRng::seed_from_u64(seed);
+                    let map = random_faults(&mut same, size, count, filter);
+                    assert_eq!(map, reference, "N={n} {filter:?} seed {seed}");
+                    assert_eq!(same, rng, "N={n} {filter:?} seed {seed}: draws differ");
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,7 +86,10 @@ impl FaultTimeline {
                 size.n()
             );
         }
-        events.sort_by_key(|e| (e.cycle, e.link.flat_index(size), e.up));
+        // The key determines the event (a flat index names one link), so
+        // an unstable sort gives the stable order without the stable
+        // sort's buffer, which is as large as the list here.
+        events.sort_unstable_by_key(|e| (e.cycle, e.link.flat_index(size), e.up));
         FaultTimeline { size, events }
     }
 
@@ -101,36 +104,48 @@ impl FaultTimeline {
     /// # Panics
     ///
     /// Panics if `mtbf` or `mttr` is zero.
+    ///
+    /// Most links at a short horizon never fail inside it. Their first
+    /// up-time is decided by comparing the stream's first raw draw with
+    /// [`first_failure_cutoff`], without building the generator or taking
+    /// a logarithm; only the links below the cutoff replay their full
+    /// schedule. The events are exactly those of drawing every link's
+    /// schedule in full.
     pub fn mtbf(size: Size, seed: u64, mtbf: u64, mttr: u64, horizon: u64) -> Self {
         assert!(mtbf > 0, "mean time between failures must be positive");
         assert!(mttr > 0, "mean time to repair must be positive");
+        let cutoff = first_failure_cutoff(mtbf, horizon);
         let mut events = Vec::new();
-        for stage in size.stage_indices() {
-            for from in size.switches() {
-                for kind in LinkKind::ALL {
-                    let link = Link::new(stage, from, kind);
-                    let stream = link.flat_index(size) as u64;
-                    let mut rng = StdRng::seed_from_u64(mix(seed, stream));
-                    let mut t = holding_time(&mut rng, mtbf);
-                    while t < horizon {
-                        events.push(FaultEvent {
-                            cycle: t,
-                            link,
-                            up: false,
-                        });
-                        let back = t + holding_time(&mut rng, mttr);
-                        if back >= horizon {
-                            // Stays down past the end of the run.
-                            break;
-                        }
-                        events.push(FaultEvent {
-                            cycle: back,
-                            link,
-                            up: true,
-                        });
-                        t = back + holding_time(&mut rng, mtbf);
-                    }
+        for index in 0..Link::slot_count(size) {
+            let stream = mix(seed, index as u64);
+            if StdRng::first_u64(stream) >> 11 >= cutoff {
+                continue;
+            }
+            let switch = index / 3;
+            let link = Link::new(
+                switch / size.n(),
+                switch % size.n(),
+                LinkKind::from_index(index % 3),
+            );
+            let mut rng = StdRng::seed_from_u64(stream);
+            let mut t = holding_time(&mut rng, mtbf);
+            while t < horizon {
+                events.push(FaultEvent {
+                    cycle: t,
+                    link,
+                    up: false,
+                });
+                let back = t + holding_time(&mut rng, mttr);
+                if back >= horizon {
+                    // Stays down past the end of the run.
+                    break;
                 }
+                events.push(FaultEvent {
+                    cycle: back,
+                    link,
+                    up: true,
+                });
+                t = back + holding_time(&mut rng, mtbf);
             }
         }
         Self::from_events(size, events)
@@ -175,9 +190,39 @@ impl FaultTimeline {
 /// One exponential holding time with the given `mean`, floored to a full
 /// cycle so every state persists at least one cycle.
 fn holding_time<R: Rng>(rng: &mut R, mean: u64) -> u64 {
-    // gen_f64 is in [0, 1); 1 - u is in (0, 1] so ln is finite and <= 0.
-    let u = rng.gen_f64();
+    holding_time_of(rng.next_u64() >> 11, mean)
+}
+
+/// [`holding_time`] of the 53-bit draw `raw`, the value
+/// [`Rng::gen_f64`] scales into `[0, 1)`.
+fn holding_time_of(raw: u64, mean: u64) -> u64 {
+    // u is in [0, 1); 1 - u is in (0, 1] so ln is finite and <= 0.
+    let u = raw as f64 * (1.0 / (1u64 << 53) as f64);
     1 + (-(mean as f64) * (1.0 - u).ln()) as u64
+}
+
+/// How far above the bisected boundary [`first_failure_cutoff`] still
+/// sends draws through the exact [`holding_time`]: a guard against `ln`
+/// not being monotone to the last bit near the boundary. Draws this
+/// close to it are a `2^-37` share of all draws.
+const CUTOFF_MARGIN: u64 = 1 << 16;
+
+/// A bound on a link stream's first 53-bit draw: a draw at or above it
+/// gives a first up-time ([`holding_time`] with mean `mtbf`) of at least
+/// `horizon`, so the link never fails inside the horizon. It is the
+/// smallest draw whose holding time reaches `horizon`, found by bisection
+/// (the holding time grows with the draw), plus [`CUTOFF_MARGIN`].
+fn first_failure_cutoff(mtbf: u64, horizon: u64) -> u64 {
+    let (mut lo, mut hi) = (0u64, 1u64 << 53);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holding_time_of(mid, mtbf) >= horizon {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo + CUTOFF_MARGIN
 }
 
 #[cfg(test)]
@@ -277,6 +322,94 @@ mod tests {
             harsh.len(),
             gentle.len()
         );
+    }
+
+    /// `holding_time` as it was before the raw-draw form.
+    fn holding_time_reference<R: Rng>(rng: &mut R, mean: u64) -> u64 {
+        let u = rng.gen_f64();
+        1 + (-(mean as f64) * (1.0 - u).ln()) as u64
+    }
+
+    /// A generator that yields one fixed word.
+    struct Fixed(u64);
+
+    impl iadm_rng::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// `FaultTimeline::mtbf` as it was before the first-draw cutoff:
+    /// every link's generator is built and its first holding time taken
+    /// with a logarithm.
+    fn mtbf_reference(size: Size, seed: u64, mtbf: u64, mttr: u64, horizon: u64) -> FaultTimeline {
+        let mut events = Vec::new();
+        for stage in size.stage_indices() {
+            for from in size.switches() {
+                for kind in LinkKind::ALL {
+                    let link = Link::new(stage, from, kind);
+                    let stream = link.flat_index(size) as u64;
+                    let mut rng = StdRng::seed_from_u64(mix(seed, stream));
+                    let mut t = holding_time_reference(&mut rng, mtbf);
+                    while t < horizon {
+                        events.push(FaultEvent {
+                            cycle: t,
+                            link,
+                            up: false,
+                        });
+                        let back = t + holding_time_reference(&mut rng, mttr);
+                        if back >= horizon {
+                            break;
+                        }
+                        events.push(FaultEvent {
+                            cycle: back,
+                            link,
+                            up: true,
+                        });
+                        t = back + holding_time_reference(&mut rng, mtbf);
+                    }
+                }
+            }
+        }
+        FaultTimeline::from_events(size, events)
+    }
+
+    iadm_check::check! {
+        /// The cutoff timeline equals the draw-everything reference.
+        fn mtbf_equals_the_full_draw_reference(g; cases = 24) {
+            let size = Size::new(1 << g.usize_in(1..=8)).expect("power of two");
+            let seed = g.u64_any();
+            let top = if g.bool_with(0.5) { 64 } else { 100_000 };
+            let mtbf = g.usize_in(1..=top) as u64;
+            let mttr = g.usize_in(1..=500) as u64;
+            let horizon = [1, 2, 64, 8000][g.usize_in(0..=3)];
+            iadm_check::check_assert_eq!(
+                FaultTimeline::mtbf(size, seed, mtbf, mttr, horizon),
+                mtbf_reference(size, seed, mtbf, mttr, horizon)
+            );
+        }
+    }
+
+    iadm_check::check! {
+        /// Every draw within 2^16 of the bisected boundary classifies
+        /// exactly as its holding time does: below the boundary the link
+        /// fails inside the horizon, at or above it it does not.
+        fn the_cutoff_agrees_with_the_holding_time_near_the_boundary(g; cases = 32) {
+            let top = if g.bool_with(0.5) { 64 } else { 1_000_000 };
+            let mtbf = g.usize_in(1..=top) as u64;
+            let top = if g.bool_with(0.5) { 100 } else { 1_000_000 };
+            let horizon = g.usize_in(1..=top) as u64;
+            let boundary = first_failure_cutoff(mtbf, horizon) - CUTOFF_MARGIN;
+            let lo = boundary.saturating_sub(1 << 16);
+            let hi = (boundary + (1 << 16)).min((1 << 53) - 1);
+            for raw in lo..=hi {
+                iadm_check::check_assert_eq!(
+                    holding_time_reference(&mut Fixed(raw << 11), mtbf) < horizon,
+                    raw < boundary,
+                    "draw {raw}, boundary {boundary}, mtbf {mtbf}, horizon {horizon}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,19 @@ impl Xoshiro256pp {
         debug_assert!(s.iter().any(|&w| w != 0));
         Xoshiro256pp { s }
     }
+
+    /// The first output of [`Xoshiro256pp::seed_from_u64`]`(seed)`,
+    /// computed without building the rest of the state. That output
+    /// reads only state words 0 and 3, and SplitMix64's `i`-th output
+    /// depends only on `seed + i * γ`, so two of the four seeding steps
+    /// suffice. For sweeps that seed one stream per item and, for most
+    /// items, only ever look at its first draw.
+    pub fn first_u64(seed: u64) -> u64 {
+        let s0 = SplitMix64::new(seed).next_u64();
+        let s3 =
+            SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(3))).next_u64();
+        s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+    }
 }
 
 /// The raw 64-bit output stream of a generator.
@@ -126,20 +139,27 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
 pub trait Rng: RngCore {
     /// A uniform `usize` in `range` (Lemire's unbiased multiply-shift).
     ///
+    /// A draw is accepted iff the low word of `draw * span` is at least
+    /// `2^64 mod span`. That bound is below `span`, so a low word of at
+    /// least `span` is accepted without computing it: the `%` runs only
+    /// for the rare draw whose low word falls below `span` (Lemire's
+    /// nearly-divisionless form; same accept set, same draws).
+    ///
     /// # Panics
     ///
     /// Panics if the range is empty.
     fn gen_range(&mut self, range: Range<usize>) -> usize {
         assert!(range.start < range.end, "gen_range on empty range");
         let span = (range.end - range.start) as u64;
-        // Debiased integer multiplication: reject the short low slice.
-        let threshold = span.wrapping_neg() % span;
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(span);
-            if (m as u64) >= threshold {
-                return range.start + (m >> 64) as usize;
+        let mut m = u128::from(self.next_u64()) * u128::from(span);
+        if (m as u64) < span {
+            // Debiased integer multiplication: reject the short low slice.
+            let threshold = span.wrapping_neg() % span;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(span);
             }
         }
+        range.start + (m >> 64) as usize
     }
 
     /// A Bernoulli trial: `true` with probability `p`.
@@ -214,6 +234,59 @@ mod tests {
         }
         let mut c = StdRng::seed_from_u64(43);
         assert_ne!(StdRng::seed_from_u64(42).next_u64(), c.next_u64());
+    }
+
+    /// `gen_range` as it was before the nearly-divisionless form: the
+    /// rejection threshold computed with `%` on every call.
+    fn gen_range_always_mod<R: Rng>(rng: &mut R, range: Range<usize>) -> usize {
+        let span = (range.end - range.start) as u64;
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(span);
+            if (m as u64) >= threshold {
+                return range.start + (m >> 64) as usize;
+            }
+        }
+    }
+
+    #[test]
+    fn gen_range_equals_the_always_mod_reference_draw_for_draw() {
+        // Spans of 1, powers of two, odd spans, and spans above 2^63,
+        // where about half of all draws are rejected.
+        let mut spans = vec![1usize, 2, 3, 7, 1000, 30_720, usize::MAX];
+        spans.extend((1..64).map(|k| 1usize << k));
+        spans.extend([(1usize << 63) + 1, (1usize << 63) + 12_345, usize::MAX - 1]);
+        let mut meta = StdRng::seed_from_u64(0xD1CE);
+        for (i, &span) in spans.iter().enumerate() {
+            let start = if span == usize::MAX {
+                0
+            } else {
+                meta.gen_range(0..usize::MAX - span)
+            };
+            let mut fast = StdRng::seed_from_u64(i as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2000 {
+                let a = fast.gen_range(start..start + span);
+                let b = gen_range_always_mod(&mut reference, start..start + span);
+                assert_eq!(a, b, "span {span}");
+                assert_eq!(fast, reference, "span {span}: draws consumed differ");
+            }
+        }
+    }
+
+    #[test]
+    fn first_u64_is_the_first_draw_of_the_seeded_stream() {
+        let mut seeds = SplitMix64::new(5);
+        for seed in [0, 1, u64::MAX]
+            .into_iter()
+            .chain((0..1000).map(|_| seeds.next_u64()))
+        {
+            assert_eq!(
+                Xoshiro256pp::first_u64(seed),
+                StdRng::seed_from_u64(seed).next_u64(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

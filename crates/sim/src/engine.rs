@@ -16,7 +16,8 @@ use crate::active::ActiveArena;
 use crate::event::{Event, EventQueue};
 use crate::packet::Packet;
 use crate::queue::{LaneArbitration, QueueArena, ReservationTable};
-use crate::stats::SimStats;
+use crate::scratch::{touched_switches, Needs, SimScratch};
+use crate::stats::{add_ones, SimStats};
 use crate::tags::{Lookup, TagCache, TagRepair};
 use iadm_core::lut::{kind_for, RouteLut};
 use iadm_core::{NetworkState, SwitchState};
@@ -651,6 +652,10 @@ pub struct Simulator {
     /// ~70%-idle load pattern mispredicts constantly and dominated the
     /// cycle cost at N = 1024.
     switch_bits: Vec<u64>,
+    /// `switch_bits` accumulated over the run: every switch that ever
+    /// held a packet. The statistics fold and the reset for the next run
+    /// visit only these switches.
+    touched: Vec<u64>,
     /// Reused scratch for the rotated live-switch order (no per-cycle
     /// allocation).
     live_scratch: Vec<u32>,
@@ -677,14 +682,16 @@ pub struct Simulator {
     /// never count: no packet is ever queued behind one).
     links_down_now: usize,
     /// Per-link cycle the current outage began (`u64::MAX` = link up).
-    /// Empty unless `dynamic`.
+    /// Sized for the network only when `dynamic`, and read only then.
     down_since: Vec<u64>,
     /// Per-link total cycles spent down (closed outages; open ones are
-    /// folded in by `finish`). Empty unless `dynamic`.
+    /// folded in by `finish`). Sized and read as `down_since` is.
     down_cycles: Vec<u64>,
-    /// Per-link flag: did this link fail at least once? Empty unless
-    /// `dynamic`.
+    /// Per-link flag: did this link fail at least once? Sized and read
+    /// as `down_since` is.
     ever_down: Vec<bool>,
+    /// The links with `ever_down` set, in first-failure order.
+    failed: Vec<u32>,
     rng: StdRng,
     stats: SimStats,
     cycle: u64,
@@ -714,9 +721,8 @@ pub struct Simulator {
     /// concept applied to load balancing.
     states: NetworkState,
     /// Per-`(stage, switch)` sticky d-choice memory (0 = no previous
-    /// choice, else `LinkKind::index() + 1`). Allocated only under
-    /// `DChoice { sticky: true, .. }`; empty — and therefore invisible
-    /// to the hot path — for every other policy.
+    /// choice, else `LinkKind::index() + 1`). Sized for the network only
+    /// under `DChoice { sticky: true, .. }`, and read only then.
     sticky: Vec<u8>,
     /// Steady-state convergence detector; `None` = fixed-horizon run
     /// (the default), costing the run loop exactly one branch per cycle.
@@ -808,6 +814,35 @@ impl Simulator {
         lut: Arc<RouteLut>,
         timeline: FaultTimeline,
     ) -> Self {
+        Self::with_scratch(
+            &mut SimScratch::default(),
+            config,
+            policy,
+            pattern,
+            blockages,
+            lut,
+            timeline,
+        )
+    }
+
+    /// [`Simulator::with_shared_lut`] over the buffers in `scratch`,
+    /// which it takes (leaving `scratch` empty) and sizes for this run;
+    /// [`Simulator::run_into`] gives them back. This is the one
+    /// constructor: the others pass a new, empty scratch. A run over
+    /// reused buffers is byte-identical to one over new ones.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::with_shared_lut`].
+    pub fn with_scratch(
+        scratch: &mut SimScratch,
+        config: SimConfig,
+        policy: RoutingPolicy,
+        pattern: TrafficPattern,
+        blockages: impl Into<Arc<BlockageMap>>,
+        lut: Arc<RouteLut>,
+        timeline: FaultTimeline,
+    ) -> Self {
         if let Err(msg) = config.validate() {
             panic!("{msg}");
         }
@@ -821,7 +856,6 @@ impl Simulator {
         assert_eq!(timeline.size(), config.size, "fault timeline size mismatch");
         let size = config.size;
         let dynamic = !timeline.is_empty();
-        let outage_slots = if dynamic { Link::slot_count(size) } else { 0 };
         let event = if config.engine == EngineKind::EventDriven {
             let mut queue = EventQueue::new(size.stages() as u16);
             // Seed the schedule: arrivals fire every cycle while load is
@@ -849,6 +883,38 @@ impl Simulator {
         } else {
             None
         };
+        let mut buffers = std::mem::take(scratch);
+        buffers.prepare(
+            size,
+            &Needs {
+                // The event engine keeps its buffers in the dense
+                // `ActiveArena` instead.
+                arena: event.is_none().then_some(config.queue_capacity),
+                dynamic,
+                events: timeline.len(),
+                tags: policy == RoutingPolicy::TsdtSender,
+                sticky: matches!(policy, RoutingPolicy::DChoice { sticky: true, .. }),
+            },
+        );
+        let SimScratch {
+            queues,
+            switch_load,
+            switch_bits,
+            touched,
+            live_scratch,
+            stage_load,
+            accepted,
+            source_queues,
+            source_bits,
+            tag_cache,
+            down_since,
+            down_cycles,
+            ever_down,
+            failed,
+            states,
+            sticky,
+            downed_scratch,
+        } = buffers;
         Simulator {
             rng: StdRng::seed_from_u64(config.seed),
             stats: SimStats {
@@ -856,36 +922,24 @@ impl Simulator {
                 ..SimStats::default()
             },
             lut,
-            // The event engine keeps its buffers in the dense
-            // `ActiveArena`; give it a zero-queue flat arena instead of a
-            // dead O(network) allocation.
-            queues: QueueArena::new(
-                if event.is_some() {
-                    0
-                } else {
-                    Link::slot_count(size)
-                },
-                config.queue_capacity,
-            ),
-            switch_load: vec![0; size.stages() * size.n()],
-            switch_bits: vec![0; size.stages() * size.n().div_ceil(64)],
-            live_scratch: Vec::with_capacity(size.n()),
-            stage_load: vec![0; size.stages()],
-            accepted: vec![0; size.n()],
-            source_queues: vec![VecDeque::new(); size.n()],
-            source_bits: vec![0; size.n().div_ceil(64)],
-            tag_cache: if policy == RoutingPolicy::TsdtSender {
-                TagCache::new(size, timeline.len())
-            } else {
-                TagCache::off()
-            },
+            queues,
+            switch_load,
+            switch_bits,
+            touched,
+            live_scratch,
+            stage_load,
+            accepted,
+            source_queues,
+            source_bits,
+            tag_cache,
             timeline,
             timeline_cursor: 0,
             dynamic,
             links_down_now: 0,
-            down_since: vec![u64::MAX; outage_slots],
-            down_cycles: vec![0; outage_slots],
-            ever_down: vec![false; outage_slots],
+            down_since,
+            down_cycles,
+            ever_down,
+            failed,
             config,
             policy,
             pattern,
@@ -895,16 +949,40 @@ impl Simulator {
             lane_arb: LaneArbitration::default(),
             event,
             workload: None,
-            downed_scratch: Vec::new(),
+            downed_scratch,
             accept_limit: 1,
-            states: NetworkState::all_c(size),
-            sticky: if matches!(policy, RoutingPolicy::DChoice { sticky: true, .. }) {
-                vec![0; size.stages() * size.n()]
-            } else {
-                Vec::new()
-            },
+            states: states.expect("prepare sizes the switch states"),
+            sticky,
             converge: None,
         }
+    }
+
+    /// Gives the run's buffers back to `scratch`, resetting what the run
+    /// touched.
+    fn into_scratch(self, scratch: &mut SimScratch) {
+        let mut buffers = SimScratch {
+            queues: self.queues,
+            switch_load: self.switch_load,
+            switch_bits: self.switch_bits,
+            touched: self.touched,
+            live_scratch: self.live_scratch,
+            stage_load: self.stage_load,
+            accepted: self.accepted,
+            source_queues: self.source_queues,
+            source_bits: self.source_bits,
+            tag_cache: self.tag_cache,
+            down_since: self.down_since,
+            down_cycles: self.down_cycles,
+            ever_down: self.ever_down,
+            failed: self.failed,
+            states: Some(self.states),
+            sticky: self.sticky,
+            downed_scratch: self.downed_scratch,
+        };
+        // The arena has queues only when the run buffered packets in it.
+        let arena = buffers.queues.queue_count() > 0;
+        buffers.reset(self.config.size, arena);
+        *scratch = buffers;
     }
 
     /// Switches become `3x3` crossbars (the Gamma network's switch
@@ -943,6 +1021,9 @@ impl Simulator {
         );
         let size = self.config.size;
         self.stats.flits_per_packet = u64::from(flits);
+        // Links hold lanes, not packet buffers: the flat arena is not
+        // held through a wormhole run.
+        self.queues = QueueArena::default();
         self.wormhole = Some(WormState {
             flits,
             reservations: ReservationTable::with_arbitration(
@@ -1187,7 +1268,10 @@ impl Simulator {
                 self.tag_cache.invalidate_all();
                 self.links_down_now += 1;
                 self.down_since[idx] = self.cycle;
-                self.ever_down[idx] = true;
+                if !self.ever_down[idx] {
+                    self.ever_down[idx] = true;
+                    self.failed.push(idx as u32);
+                }
                 if self.wormhole.is_some() {
                     // Wormhole teardown pass input: only links that
                     // actually transitioned down (re-failing an already-
@@ -1380,7 +1464,9 @@ impl Simulator {
         let n = self.config.size.n();
         let slot = &mut self.switch_load[stage * n + sw];
         if *slot == 0 {
-            self.switch_bits[stage * n.div_ceil(64) + (sw >> 6)] |= 1u64 << (sw & 63);
+            let word = stage * n.div_ceil(64) + (sw >> 6);
+            self.switch_bits[word] |= 1u64 << (sw & 63);
+            self.touched[word] |= 1u64 << (sw & 63);
         }
         *slot += 1;
     }
@@ -2327,9 +2413,24 @@ impl Simulator {
     /// convergence, when [`Simulator::with_convergence`] armed it — and
     /// returns the statistics.
     pub fn run(mut self) -> SimStats {
+        self.run_cycles();
+        self.finish()
+    }
+
+    /// [`Simulator::run`], then gives the run's buffers back to
+    /// `scratch` for the next [`Simulator::with_scratch`], with only what
+    /// this run touched reset.
+    pub fn run_into(mut self, scratch: &mut SimScratch) -> SimStats {
+        self.run_cycles();
+        let stats = self.fold();
+        self.into_scratch(scratch);
+        stats
+    }
+
+    fn run_cycles(&mut self) {
         if self.event.is_some() {
             self.run_event();
-            return self.finish();
+            return;
         }
         for _ in 0..self.config.cycles {
             self.step();
@@ -2337,7 +2438,6 @@ impl Simulator {
                 break;
             }
         }
-        self.finish()
     }
 
     /// The event engine's run loop: jump the clock straight to the next
@@ -2391,27 +2491,41 @@ impl Simulator {
 
     /// Closes outages still open at the end of the run and folds the
     /// per-link outage clocks into the availability statistics (no-op for
-    /// static runs).
+    /// static runs). Only the links that ever failed are read: every
+    /// other link was up all run, an availability of exactly `1.0`, and
+    /// [`add_ones`] adds a run of those to the sum with the bits the
+    /// link-by-link sum gives.
     fn fold_availability(&mut self) {
         if !self.dynamic {
             return;
         }
-        for idx in 0..self.down_since.len() {
+        self.failed.sort_unstable();
+        for &idx in &self.failed {
+            let idx = idx as usize;
             if self.down_since[idx] != u64::MAX {
                 self.down_cycles[idx] += self.cycle - self.down_since[idx];
                 self.down_since[idx] = u64::MAX;
             }
         }
-        self.stats.links_failed = self.ever_down.iter().filter(|&&b| b).count() as u64;
-        self.stats.link_downtime_cycles = self.down_cycles.iter().sum();
+        self.stats.links_failed = self.failed.len() as u64;
+        self.stats.link_downtime_cycles = self
+            .failed
+            .iter()
+            .map(|&idx| self.down_cycles[idx as usize])
+            .sum();
         if self.cycle > 0 {
             let mut min_avail = 1.0f64;
             let mut sum_avail = 0.0f64;
-            for &down in &self.down_cycles {
-                let avail = 1.0 - down as f64 / self.cycle as f64;
+            let mut next = 0;
+            for &idx in &self.failed {
+                let idx = idx as usize;
+                sum_avail = add_ones(sum_avail, idx - next);
+                let avail = 1.0 - self.down_cycles[idx] as f64 / self.cycle as f64;
                 min_avail = min_avail.min(avail);
                 sum_avail += avail;
+                next = idx + 1;
             }
+            sum_avail = add_ones(sum_avail, self.down_cycles.len() - next);
             self.stats.availability_min = min_avail;
             self.stats.availability_mean = sum_avail / self.down_cycles.len() as f64;
         }
@@ -2419,11 +2533,18 @@ impl Simulator {
 
     /// Finalizes statistics without running further cycles. Every engine
     /// and switching mode ends in the one link fold
-    /// ([`SimStats::fold_links`]): over the full flat range of the
-    /// synchronous arena or the reservation table, and over the sorted
-    /// touched queues of the event engine's arena. Worms in flight are
-    /// counted from the worm table, outside the fold.
+    /// ([`SimStats::fold_links`]): over every switch of the reservation
+    /// table, over the touched switches of the synchronous arena, and
+    /// over the switches of the event engine arena's touched queues.
+    /// Worms in flight are counted from the worm table, outside the
+    /// fold.
     pub fn finish(mut self) -> SimStats {
+        self.fold()
+    }
+
+    /// [`Simulator::finish`] without consuming the simulator, so its
+    /// buffers can be handed on.
+    fn fold(&mut self) -> SimStats {
         if let Some(wl) = self.workload.take() {
             wl.source.collect(&mut self.stats.workload);
         }
@@ -2439,19 +2560,24 @@ impl Simulator {
                 self.stats.flits_in_flight += u64::from(w.pending) + w.held.len() as u64;
             }
             let res = &ws.reservations;
-            self.stats.fold_links(res, size, 0..res.link_count());
-        } else if let Some(ev) = self.event.take() {
-            let mut touched = ev.active.touched_queues().to_vec();
+            self.stats.fold_links(res, size, 0..res.link_count() / 3);
+        } else if let Some(ev) = self.event.as_ref() {
+            let mut touched: Vec<usize> = ev
+                .active
+                .touched_queues()
+                .iter()
+                .map(|&q| q as usize / 3)
+                .collect();
             touched.sort_unstable();
-            let touched = touched.into_iter().map(|q| q as usize);
+            touched.dedup();
             self.stats.fold_links(&ev.active, size, touched);
         } else {
-            let queues = &self.queues;
-            self.stats.fold_links(queues, size, 0..queues.queue_count());
+            let touched = touched_switches(&self.touched, size.n());
+            self.stats.fold_links(&self.queues, size, touched);
         }
         self.fold_availability();
         self.stats.cycles = self.cycle;
-        self.stats
+        std::mem::take(&mut self.stats)
     }
 
     /// The cycle counter (number of completed steps).

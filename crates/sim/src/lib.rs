@@ -55,6 +55,7 @@ mod engine;
 mod event;
 mod packet;
 mod queue;
+mod scratch;
 mod stats;
 mod tags;
 
@@ -76,5 +77,6 @@ pub use iadm_workload::{
 };
 pub use packet::Packet;
 pub use queue::{LaneArbitration, QueueArena, ReservationTable};
+pub use scratch::SimScratch;
 pub use stats::SimStats;
 pub use tags::TagRepair;

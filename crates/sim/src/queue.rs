@@ -46,7 +46,11 @@ struct QueueMeta {
 /// A flat arena of bounded FIFO ring buffers with per-queue occupancy
 /// tracking (high-water mark and cumulative occupancy), replacing the
 /// former `VecDeque`-backed per-link `LinkQueue`s.
-#[derive(Debug, Clone)]
+///
+/// The simulator reuses one arena across runs: it clears the queues a
+/// run used and re-dimensions the arena for the next run, without
+/// writing the rest of the slab again.
+#[derive(Debug, Clone, Default)]
 pub struct QueueArena {
     capacity: usize,
     /// `queues * capacity` packet slots; only the `len` slots starting at
@@ -66,17 +70,43 @@ impl QueueArena {
     /// Panics if `capacity == 0` or `capacity > u16::MAX` (the ring
     /// offsets are stored as `u16`).
     pub fn new(queues: usize, capacity: usize) -> Self {
+        let mut arena = QueueArena::default();
+        arena.prepare(queues, capacity);
+        arena
+    }
+
+    /// Re-dimensions the arena to `queues` empty ring buffers of
+    /// `capacity` packets each, reusing its allocation. Every queue must
+    /// already be empty with zeroed counters: a new arena, or one whose
+    /// used queues have each been [`clear`](QueueArena::clear)ed. Slots
+    /// are not rewritten, since a ring's `len` says which of them are
+    /// live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or `capacity > u16::MAX`.
+    pub(crate) fn prepare(&mut self, queues: usize, capacity: usize) {
         assert!(capacity > 0, "queue capacity must be positive");
         assert!(
             capacity <= u16::MAX as usize,
             "queue capacity {capacity} exceeds the arena's u16 ring offsets"
         );
-        QueueArena {
-            capacity,
-            slots: vec![Packet::new(0, 0); queues * capacity],
-            meta: vec![QueueMeta::default(); queues],
-            samples: 0,
-        }
+        debug_assert!(
+            self.meta
+                .iter()
+                .all(|m| m.len == 0 && m.carried == 0 && m.high_water == 0),
+            "prepare on an arena with uncleared queues"
+        );
+        self.capacity = capacity;
+        self.samples = 0;
+        crate::scratch::fit(&mut self.slots, queues * capacity, Packet::new(0, 0));
+        crate::scratch::fit(&mut self.meta, queues, QueueMeta::default());
+    }
+
+    /// Empties queue `q` and zeroes its counters (high-water mark,
+    /// occupancy sum, carried count).
+    pub(crate) fn clear(&mut self, q: usize) {
+        self.meta[q] = QueueMeta::default();
     }
 
     /// Number of queues in the arena.

@@ -262,23 +262,23 @@ impl LinkLedger for ReservationTable {
 impl SimStats {
     /// The one statistics fold: sets the queue-occupancy, link-use and
     /// nonstraight-imbalance statistics from `ledger` and adds the
-    /// packets still buffered to `in_flight`.
+    /// packets still buffered to `in_flight`, reading the three links
+    /// `3s..3s + 3` of each switch `s` of `switches` (flat
+    /// `(stage, switch)` indices).
     ///
-    /// `links` must be ascending and must include every link with a
-    /// non-zero counter. A link left out would contribute `0` to the
-    /// integer folds and `+0.0` to the occupancy sum, an exact IEEE
-    /// identity on these non-negative partial sums, so the full range and
-    /// the event arena's sorted touched list give bit-identical results
-    /// while the work stays proportional to the links given. Per switch,
-    /// the three links `3s..3s + 3` are read together the first time one
-    /// of them comes up, so switches are visited in ascending flat order
-    /// too, the `(stage, switch)` nesting of the paper's load-balancing
-    /// argument.
+    /// `switches` must be ascending and must include every switch with a
+    /// link with a non-zero counter. A switch left out would contribute
+    /// `0` to the integer folds and `+0.0` to the occupancy sum, an exact
+    /// IEEE identity on these non-negative partial sums, so the full
+    /// range and any superset of the touched switches give bit-identical
+    /// results while the work stays proportional to the switches given.
+    /// Links are read in ascending flat order, the `(stage, switch)`
+    /// nesting of the paper's load-balancing argument.
     pub(crate) fn fold_links<L: LinkLedger>(
         &mut self,
         ledger: &L,
         size: Size,
-        links: impl IntoIterator<Item = usize>,
+        switches: impl IntoIterator<Item = usize>,
     ) {
         let mut high_water = 0usize;
         let mut occupancy_sum = 0.0f64;
@@ -287,21 +287,19 @@ impl SimStats {
         let mut max_link_load = 0u64;
         let mut stage_link_use = vec![0u64; size.stages()];
         let mut last_switch = None;
-        for q in links {
-            self.in_flight += ledger.resident(q);
-            high_water = high_water.max(ledger.high_water(q));
-            occupancy_sum += ledger.mean_occupancy(q);
-            let switch = q / 3;
-            if last_switch == Some(switch) {
-                continue;
-            }
-            debug_assert!(last_switch < Some(switch), "links must ascend");
+        for switch in switches {
+            debug_assert!(last_switch < Some(switch), "switches must ascend");
             last_switch = Some(switch);
+            for q in 3 * switch..3 * switch + 3 {
+                self.in_flight += ledger.resident(q);
+                high_water = high_water.max(ledger.high_water(q));
+                occupancy_sum += ledger.mean_occupancy(q);
+            }
             let carried = |kind: LinkKind| ledger.carried(3 * switch + kind.index());
             let (plus, minus) = (carried(LinkKind::Plus), carried(LinkKind::Minus));
             let straight = carried(LinkKind::Straight);
             max_link_load = max_link_load.max(plus).max(minus).max(straight);
-            stage_link_use[switch / size.n()] += plus + minus + straight;
+            stage_link_use[switch >> size.stages()] += plus + minus + straight;
             if plus + minus > 0 {
                 imbalance_sum += (plus.abs_diff(minus)) as f64 / (plus + minus) as f64;
                 switches_with_traffic += 1;
@@ -324,20 +322,69 @@ impl SimStats {
     }
 }
 
+/// `x` after `k` repetitions of `x += 1.0`, in a few additions instead
+/// of `k`. While `x + 1.0` stays inside `x`'s binade `[2^e, 2^(e+1))`
+/// with `0 <= e < 52`, every step is exact (the binade's spacing divides
+/// 1), so the steps up to the binade's top collapse into one exact
+/// addition; the step that crosses into the next binade may round, and
+/// is taken as it is. Outside that range every step is taken as it is.
+pub(crate) fn add_ones(mut x: f64, mut k: usize) -> f64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    while k > 0 {
+        if (1.0..EXACT_BELOW).contains(&x) {
+            // 2^(e+1): the exponent field plus one, mantissa cleared.
+            let top = f64::from_bits(((x.to_bits() >> 52) + 1) << 52);
+            // Exact (Sterbenz): top / 2 <= x < top.
+            let room = top - x;
+            let inside = (room.ceil() as usize - 1).min(k);
+            x += inside as f64;
+            k -= inside;
+            if k == 0 {
+                break;
+            }
+        }
+        x += 1.0;
+        k -= 1;
+    }
+    x
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::Packet;
+
+    iadm_check::check! {
+        /// The collapsed additions land on the bits the one-by-one sum
+        /// does, from sums of fractions (as the availability fold builds
+        /// them) through binade crossings.
+        fn add_ones_equals_repeated_addition(g; cases = 256) {
+            let mut x = 0.0f64;
+            for _ in 0..g.usize_in(0..=4) {
+                x += g.f64_in(0.0..1.0);
+                x = add_ones(x, g.usize_in(0..=3));
+            }
+            if g.bool_with(0.2) {
+                x += (1u64 << g.usize_in(0..=53)) as f64;
+            }
+            let k = g.usize_in(0..=70_000);
+            let mut slow = x;
+            for _ in 0..k {
+                slow += 1.0;
+            }
+            iadm_check::check_assert_eq!(add_ones(x, k).to_bits(), slow.to_bits(), "x {x}, k {k}");
+        }
+    }
 
     /// The fields [`SimStats::fold_links`] sets, floats as raw bits so
     /// equality is bit-identity.
     fn folded<L: LinkLedger>(
         ledger: &L,
         size: Size,
-        links: impl IntoIterator<Item = usize>,
+        switches: impl IntoIterator<Item = usize>,
     ) -> (u64, usize, u64, u64, u64, Vec<u64>) {
         let mut stats = SimStats::default();
-        stats.fold_links(ledger, size, links);
+        stats.fold_links(ledger, size, switches);
         (
             stats.in_flight,
             stats.queue_high_water,
@@ -349,8 +396,8 @@ mod tests {
     }
 
     iadm_check::check! {
-        /// The sparse fold over the event arena's sorted touched queues
-        /// equals the full walk over the flat arena, bit for bit, after
+        /// The sparse fold over the switches of the event arena's touched
+        /// queues equals the full walk over the flat arena, bit for bit, after
         /// the same random push/pop/carry/tick sequence on both.
         fn touched_fold_equals_the_full_walk(g; cases = 256) {
             let size = Size::new(1 << g.usize_in(1..=4)).expect("power of two");
@@ -382,11 +429,12 @@ mod tests {
                 }
             }
             let mut touched: Vec<usize> =
-                active.touched_queues().iter().map(|&q| q as usize).collect();
+                active.touched_queues().iter().map(|&q| q as usize / 3).collect();
             touched.sort_unstable();
-            let full = folded(&flat, size, 0..links);
+            touched.dedup();
+            let full = folded(&flat, size, 0..links / 3);
             iadm_check::check_assert_eq!(folded(&active, size, touched), full);
-            iadm_check::check_assert_eq!(folded(&active, size, 0..links), full);
+            iadm_check::check_assert_eq!(folded(&active, size, 0..links / 3), full);
         }
     }
 

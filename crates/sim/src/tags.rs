@@ -44,14 +44,19 @@ pub enum TagRepair {
 ///
 /// Footprint: `N · min(N, 256)` lines of 16 bytes — 4 MiB at N = 1024,
 /// 32 MiB at N = 8192. Both epochs are `u32`: they advance only on the
-/// run's timeline fail/repair events, and [`TagCache::new`] rejects a
-/// timeline of `u32::MAX` events or more, so neither can wrap.
-#[derive(Debug)]
+/// run's timeline fail/repair events, and [`TagCache::prepare`] rejects
+/// a timeline of `u32::MAX` events or more, so neither can wrap.
+///
+/// The lines outlive a run when the simulator's buffers are reused
+/// ([`SimScratch`](crate::SimScratch)): each run starts at a map epoch
+/// above every epoch stamped before, so an earlier run's line can only
+/// miss, exactly like a cold one.
+#[derive(Debug, Default)]
 pub(crate) struct TagCache {
     /// Cache lines per source (a power of two; 0 when the cache is off).
     slots: usize,
     /// The current blockage-map version; lines from older epochs miss.
-    /// Starts at 1, so an all-zero (cold) line always misses.
+    /// At least 1 during a run, so an all-zero (cold) line always misses.
     epoch: u32,
     /// The current repair version; lines from older repair epochs miss
     /// when their outcome could have improved. Frozen under
@@ -100,35 +105,42 @@ impl TagCache {
     /// The `state` of a line caching a refusal.
     const REFUSED: u32 = u32::MAX;
 
-    /// A cold cache for `size`, for a run whose timeline holds `events`
-    /// fail/repair events.
+    /// Readies the cache for a run over `size` whose timeline holds
+    /// `events` fail/repair events: cold for every lookup, with the
+    /// default repair mode. `on` is whether the run's policy consults
+    /// the cache; when it does not, the lines are released.
+    ///
+    /// The map epoch moves past every epoch an earlier run stamped, so
+    /// lines left from it miss. They are zeroed only when this run's
+    /// failures could carry the epoch past `u32::MAX`.
     ///
     /// # Panics
     ///
-    /// Panics if `events >= u32::MAX`: the epochs could then wrap.
-    pub(crate) fn new(size: Size, events: usize) -> Self {
+    /// Panics if `on` and `events >= u32::MAX`: the epochs could then
+    /// wrap.
+    pub(crate) fn prepare(&mut self, size: Size, events: usize, on: bool) {
         assert!(
-            events < u32::MAX as usize,
+            !on || events < u32::MAX as usize,
             "{events} timeline events overflow the tag cache's 32-bit epochs"
         );
-        let slots = size.n().min(Self::MAX_SLOTS);
-        TagCache {
-            slots,
-            epoch: 1,
-            repair_epoch: 0,
-            repair: TagRepair::default(),
-            lines: vec![TagLine::default(); size.n() * slots],
+        if events >= (u32::MAX - self.epoch) as usize {
+            self.lines.fill(TagLine::default());
+            self.epoch = 0;
         }
-    }
-
-    /// The empty cache for policies that never consult it.
-    pub(crate) fn off() -> Self {
-        TagCache {
-            slots: 0,
-            epoch: 1,
-            repair_epoch: 0,
-            repair: TagRepair::default(),
-            lines: Vec::new(),
+        self.epoch += 1;
+        self.repair_epoch = 0;
+        self.repair = TagRepair::default();
+        if !on {
+            // Not held through a run that never reads it.
+            self.slots = 0;
+            self.lines = Vec::new();
+            return;
+        }
+        self.slots = size.n().min(Self::MAX_SLOTS);
+        // Grow only: a line past this run's range is never indexed.
+        let lines = size.n() * self.slots;
+        if self.lines.len() < lines {
+            self.lines.resize(lines, TagLine::default());
         }
     }
 
@@ -259,6 +271,13 @@ mod tests {
         }
     }
 
+    /// A cold cache for `size` that the policy consults.
+    fn cold(size: Size, events: usize) -> TagCache {
+        let mut cache = TagCache::default();
+        cache.prepare(size, events, true);
+        cache
+    }
+
     iadm_check::check! {
         /// The packed cache answers every lookup exactly as the wide
         /// reference does, after the same random sequence of puts
@@ -271,7 +290,22 @@ mod tests {
             let size = Size::new(if g.bool_with(0.5) { 8 } else { 512 }).expect("power of two");
             let n = size.n();
             let repair = if g.bool_with(0.5) { TagRepair::Aware } else { TagRepair::Blind };
-            let mut packed = TagCache::new(size, 0);
+            // A cache that served earlier runs, possibly at the other
+            // size, answers like a new one.
+            let mut packed = TagCache::default();
+            for _ in 0..g.usize_in(0..=2) {
+                let earlier = Size::new(if g.bool_with(0.5) { 8 } else { 512 }).expect("power of two");
+                let m = earlier.n();
+                packed.prepare(earlier, 0, true);
+                for _ in 0..g.usize_in(0..=50) {
+                    let (source, dest) = (g.usize_in(0..=m - 1), g.usize_in(0..=m - 1));
+                    packed.put(source, dest, Some(g.u32_in(0..=m as u32 - 1)));
+                    if g.bool_with(0.1) {
+                        packed.invalidate_all();
+                    }
+                }
+            }
+            packed.prepare(size, 0, true);
             packed.repair = repair;
             let mut wide = WideCache::new(size, repair);
             for _ in 0..g.usize_in(1..=200) {
@@ -310,7 +344,7 @@ mod tests {
 
     #[test]
     fn lines_hold_16_bytes_per_slot() {
-        let lines = |n| TagCache::new(Size::new(n).unwrap(), 0).lines.len() * size_of::<TagLine>();
+        let lines = |n| cold(Size::new(n).unwrap(), 0).lines.len() * size_of::<TagLine>();
         assert_eq!(lines(1024), 4 << 20);
         assert_eq!(lines(8192), 32 << 20);
     }
@@ -318,6 +352,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "32-bit epochs")]
     fn a_timeline_that_could_wrap_an_epoch_is_rejected() {
-        let _ = TagCache::new(Size::new(2).unwrap(), u32::MAX as usize);
+        let _ = cold(Size::new(2).unwrap(), u32::MAX as usize);
+    }
+
+    #[test]
+    fn lines_are_rezeroed_only_when_the_epoch_budget_runs_out() {
+        let size = Size::new(8).unwrap();
+        let mut cache = cold(size, 0);
+        cache.put(1, 2, Some(3));
+        // Enough budget: the epoch moves on and the line stays written.
+        cache.epoch = u32::MAX - 11;
+        cache.prepare(size, 10, true);
+        assert_eq!(cache.epoch, u32::MAX - 10);
+        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
+        assert_ne!(cache.lines[cache.line(1, 2)].epoch, 0);
+        // One event more than the budget: every line back to zero.
+        cache.put(1, 2, Some(3));
+        cache.prepare(size, 10, true);
+        assert_eq!(cache.epoch, 1);
+        assert!(cache.lines.iter().all(|l| l.epoch == 0 && l.dest == 0));
+        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
+    }
+
+    #[test]
+    fn a_cache_the_policy_does_not_consult_holds_no_lines() {
+        let size = Size::new(1024).unwrap();
+        let mut cache = cold(size, 0);
+        cache.prepare(size, 5, false);
+        assert_eq!(cache.lines.capacity(), 0);
+        cache.prepare(size, u32::MAX as usize, false);
+        assert_eq!(cache.epoch, 1);
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::spec::{RunSpec, SweepSpec};
 use iadm_fault::BlockageMap;
-use iadm_sim::{RouteLut, SimConfig, SimStats, Simulator};
+use iadm_sim::{RouteLut, SimConfig, SimScratch, SimStats, Simulator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -111,7 +111,13 @@ impl RunSpec {
     /// `mix(seed, TIMELINE_SEED_STREAM)`, a closed-loop workload from
     /// `mix(seed, WORKLOAD_SEED_STREAM)` and the traffic from `seed`, so
     /// the run is fully determined by the spec and its bases.
-    pub fn simulator(&self, bases: &RunBases) -> Simulator {
+    ///
+    /// The simulator takes its buffers from `scratch`
+    /// ([`Simulator::with_scratch`]); a worker that runs many grid points
+    /// passes the same scratch each time and hands the buffers back with
+    /// [`Simulator::run_into`]. The statistics do not depend on what the
+    /// scratch served before.
+    pub fn simulator(&self, bases: &RunBases, scratch: &mut SimScratch) -> Simulator {
         let timeline = self.scenario.timeline(
             self.size,
             iadm_rng::mix(self.seed, TIMELINE_SEED_STREAM),
@@ -126,7 +132,8 @@ impl RunSpec {
             seed: self.seed,
             engine: self.engine,
         };
-        let sim = Simulator::with_shared_lut(
+        let sim = Simulator::with_scratch(
+            scratch,
             config,
             self.policy,
             self.pattern.clone(),
@@ -206,7 +213,7 @@ pub fn execute_run(run: &RunSpec) -> RunRecord {
     RunRecord {
         spec: run.clone(),
         faults: bases.faults,
-        stats: run.simulator(&bases).run(),
+        stats: run.simulator(&bases, &mut SimScratch::default()).run(),
     }
 }
 
@@ -242,7 +249,9 @@ pub(crate) fn execute_pool(
     deliver: &mut dyn FnMut(Completion) -> Result<(), String>,
 ) -> Result<(), String> {
     assert!(threads >= 1, "thread count must be at least 1");
-    let complete = |i: usize| -> Completion {
+    // Each worker keeps one `SimScratch` and runs every grid point it
+    // claims over it.
+    let complete = |i: usize, scratch: &mut SimScratch| -> Completion {
         let run = &runs[i];
         let realized;
         let base = match base_key(run).and_then(|key| bases.get(&key)) {
@@ -253,7 +262,7 @@ pub(crate) fn execute_pool(
             }
         };
         let faults = base.faults;
-        let stats = run.simulator(base).run();
+        let stats = run.simulator(base, scratch).run_into(scratch);
         let encoded = encode.then(|| crate::report::run_json(run, faults, &stats).encode());
         Completion {
             index: run.index,
@@ -264,8 +273,9 @@ pub(crate) fn execute_pool(
     };
     if threads == 1 {
         // Single-threaded fast path: no pool, no channel, same bytes.
+        let mut scratch = SimScratch::default();
         for &i in todo {
-            deliver(complete(i))?;
+            deliver(complete(i, &mut scratch))?;
         }
         return Ok(());
     }
@@ -279,17 +289,20 @@ pub(crate) fn execute_pool(
             let cursor = &cursor;
             let stop = &stop;
             let complete = &complete;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = todo.get(slot) else { break };
-                // A send fails only when the collector bailed early (a
-                // sink error); stop quietly, the error is already
-                // recorded on the collector side.
-                if tx.send(complete(i)).is_err() {
-                    break;
+            scope.spawn(move || {
+                let mut scratch = SimScratch::default();
+                loop {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = todo.get(slot) else { break };
+                    // A send fails only when the collector bailed early
+                    // (a sink error); stop quietly, the error is already
+                    // recorded on the collector side.
+                    if tx.send(complete(i, &mut scratch)).is_err() {
+                        break;
+                    }
                 }
             });
         }

@@ -16,8 +16,12 @@
 #
 # Prints every run's result line, then per end-to-end metric of
 # BENCHMARK.json: each side's median and quartiles, the median of the
-# per-pair change/parent ratios, and how many pairs favoured the change
-# (ties favour neither side). Exits nonzero if any run reported
+# per-pair change/parent ratios, how many pairs favoured the change
+# (ties favour neither side), the two-sided sign-test p-value of that
+# count over the untied pairs, and a verdict: `resolved` when p <= 0.05,
+# `unresolved` otherwise. On this kind of shared host the same binary's
+# runs/s can move by a quarter between invocations, so a median ratio
+# without the verdict settles nothing. Exits nonzero if any run reported
 # `"correct":false`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -76,8 +80,8 @@ value() { # <metric> <jsonl file>: one value per line
     sed -E "s/.*\"$1\":\\{\"value\":([^,}]+).*/\\1/" "$2"
 }
 echo "$workload: parent $rev vs working tree, $pairs pairs"
-printf '%-16s %-40s %-40s %9s %s\n' metric "parent median [q1, q3]" \
-    "change median [q1, q3]" ratio favoured
+printf '%-16s %-40s %-40s %9s %-9s %-7s %s\n' metric "parent median [q1, q3]" \
+    "change median [q1, q3]" ratio favoured p verdict
 echo "$metrics" | while read -r name better; do
     paste <(value "$name" "$ab/parent.jsonl") <(value "$name" "$ab/change.jsonl") |
         awk -v name="$name" -v better="$better" '
@@ -86,16 +90,27 @@ echo "$metrics" | while read -r name better; do
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
         }
         function q(a, n, p,   x, k) { x = 1 + p * (n - 1); k = int(x); return k >= n ? a[n] : a[k] + (x - k) * (a[k + 1] - a[k]) }
+        # Two-sided sign test: P(|X - m/2| >= |k - m/2|) for X ~ Bin(m, 1/2).
+        function sign_p(k, m,   lo, i, c, tail) {
+            if (m == 0) return 1
+            lo = k < m - k ? k : m - k
+            c = 1; tail = 0
+            for (i = 0; i <= lo; i++) { tail += c; c = c * (m - i) / (i + 1) }
+            tail = 2 * tail / 2 ^ m
+            return tail > 1 ? 1 : tail
+        }
         {
             n++; p[n] = $1; c[n] = $2; r[n] = $1 == 0 ? 0 : $2 / $1
             if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) won++
+            else if ($2 != $1) lost++
         }
         END {
             sorted(p, n); sorted(c, n); sorted(r, n)
-            printf "%-16s %-40s %-40s %9.4f %d/%d\n", name,
+            pv = sign_p(won, won + lost)
+            printf "%-16s %-40s %-40s %9.4f %-9s %-7.4f %s\n", name,
                 sprintf("%.6g [%.6g, %.6g]", q(p, n, .5), q(p, n, .25), q(p, n, .75)),
                 sprintf("%.6g [%.6g, %.6g]", q(c, n, .5), q(c, n, .25), q(c, n, .75)),
-                q(r, n, .5), won, n
+                q(r, n, .5), sprintf("%d/%d", won, n), pv, pv <= 0.05 ? "resolved" : "unresolved"
         }'
 done
 if grep -q '"correct":false' "$ab/parent.jsonl" "$ab/change.jsonl"; then
