@@ -7,12 +7,10 @@
 //! deterministic per seed, so `delivered` is identical across repeats and
 //! only wall time varies).
 //!
-//! A second section benchmarks the event-driven engine against the
-//! synchronous loop in its design regime — low offered load, N up to
-//! 8192 — where skipping idle switches is the whole game. Those cases
-//! carry the engine in their policy label (`FixedC/lowload/sync` vs
-//! `FixedC/lowload/event`) so the (n, policy) gate key keeps both
-//! trajectories separately.
+//! A second section times the low-load ladder — low offered load, N up
+//! to 8192 — where per-cycle overhead on a mostly idle fabric is the
+//! whole cost. Its cases keep their historical `FixedC/lowload/sync`
+//! label so the (n, policy) gate key continues their trajectory.
 //!
 //! A third section (`campbench`) measures campaign throughput — **runs
 //! per second** over a 1000-run grid that shares one (size, scenario)
@@ -82,19 +80,13 @@ const REPS: usize = 3;
 /// `SsdtBalance/wormhole:4:4` label.
 const WORMHOLE_CASE: (u32, u32, &str) = (4, 4, "SsdtBalance/wormhole:4:4");
 
-/// `(N, simulated cycles)` for the low-load engine comparison. The
-/// cycle counts shrink with N like the main section's; the offered load
-/// is chosen per size so every configuration sees the same absolute
-/// injection rate (`LOWLOAD_RATE` packets per cycle across the whole
-/// fabric) — the mostly-idle regime the event engine exists for, held
-/// constant as N grows.
+/// `(N, simulated cycles)` for the low-load ladder. The cycle counts
+/// shrink with N like the main section's; the offered load is chosen per
+/// size so every configuration sees the same absolute injection rate
+/// (`LOWLOAD_RATE` packets per cycle across the whole fabric) — a mostly
+/// idle regime, held constant as N grows.
 const LOWLOAD_SIZES: [(usize, usize); 4] = [(64, 20000), (256, 8000), (1024, 2000), (8192, 500)];
 const LOWLOAD_RATE: f64 = 0.8;
-
-const ENGINES: [(EngineKind, &str); 2] = [
-    (EngineKind::Synchronous, "FixedC/lowload/sync"),
-    (EngineKind::EventDriven, "FixedC/lowload/event"),
-];
 
 /// Campaign-engine section (`campbench`): `(N, cycles per run, runs)`
 /// for a many-run shared-topology grid — the fleet-campaign shape where
@@ -138,11 +130,11 @@ fn bench_campaign(share_bases: bool, name: &'static str) -> Case {
                 queue_capacity: 4,
                 cycles,
                 warmup: cycles / 5,
-                // Low absolute rate (the event engine's regime), varied
-                // per run like a load axis would.
+                // Low absolute rate, varied per run like a load axis
+                // would.
                 offered_load: (0.5 + (run % 8) as f64 * 0.1) / n as f64,
                 seed: iadm_rng::mix(SEED, run as u64),
-                engine: EngineKind::EventDriven,
+                engine: EngineKind::Synchronous,
             };
             let timeline = scenario.timeline(size, config.seed, cycles as u64);
             let sim = match &shared {
@@ -460,35 +452,24 @@ fn main() {
         cases.push(case);
     }
     for (n, cycles) in LOWLOAD_SIZES {
-        for (engine, name) in ENGINES {
-            let case = bench_config(
-                SimConfig {
-                    size: Size::new(n).expect("benchmark sizes are powers of two"),
-                    queue_capacity: 4,
-                    cycles,
-                    warmup: cycles / 5,
-                    offered_load: LOWLOAD_RATE / n as f64,
-                    seed: SEED,
-                    engine,
-                },
-                RoutingPolicy::FixedC,
-                name,
-            );
-            eprintln!(
-                "N={:<5} {:<22} {:>12.1} cycles/s {:>14.1} packets/s (delivered {})",
-                case.n, case.policy, case.cycles_per_sec, case.packets_per_sec, case.delivered
-            );
-            cases.push(case);
-        }
-        // Paired sync/event cases land adjacently; report the win.
-        let [sync, event] = &cases[cases.len() - 2..] else {
-            unreachable!()
-        };
-        assert_eq!(sync.delivered, event.delivered, "engines must agree");
-        eprintln!(
-            "N={n:<5} low-load event speedup: {:.2}x",
-            event.packets_per_sec / sync.packets_per_sec
+        let case = bench_config(
+            SimConfig {
+                size: Size::new(n).expect("benchmark sizes are powers of two"),
+                queue_capacity: 4,
+                cycles,
+                warmup: cycles / 5,
+                offered_load: LOWLOAD_RATE / n as f64,
+                seed: SEED,
+                engine: EngineKind::Synchronous,
+            },
+            RoutingPolicy::FixedC,
+            "FixedC/lowload/sync",
         );
+        eprintln!(
+            "N={:<5} {:<22} {:>12.1} cycles/s {:>14.1} packets/s (delivered {})",
+            case.n, case.policy, case.cycles_per_sec, case.packets_per_sec, case.delivered
+        );
+        cases.push(case);
     }
     for (share_bases, name) in CAMPAIGN_VARIANTS {
         let case = bench_campaign(share_bases, name);

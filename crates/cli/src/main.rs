@@ -42,8 +42,7 @@ const USAGE: &str = "usage:
   iadm render   -n <N> [--net iadm|icube|adm|gamma|gcube]
   iadm simulate -n <N> [--load <f>] [--cycles <c>] [--warmup <w>]
                 [--policy fixed|ssdt|random|tsdt|dchoice:<d>[:sticky]]
-                [--mode sf|wormhole:<flits>[:<lanes>]] [--engine sync|event]
-                [--arbitration first-free|round-robin|least-held] [--repair aware|blind]
+                [--mode sf|wormhole:<flits>[:<lanes>]] [--repair aware|blind]
                 [--workload open|rr:<clients>:<think>[:<req>x<resp>]|flow:<clients>:<think>:<pkts>|allreduce:<p>:<think>|adv:<load>:<burst>]
                 [--converge <window>:<tol>] [--faults <scenario>] [--block ...]...
   iadm subgraphs -n <N>
@@ -52,8 +51,7 @@ const USAGE: &str = "usage:
   iadm sweep    [--spec smoke|e13|e15|e16|e17|e18|e19|e20] [--threads <t>] [--out results/….json]
                 [--n 8,64] [--loads 0.1,0.5] [--policies fixed,ssdt,tsdt,dchoice:2,dchoice:2:sticky]
                 [--patterns uniform,bitrev,hotspot:<d>] [--queues 4]
-                [--modes sf,wormhole:<flits>[:<lanes>]] [--engines sync,event]
-                [--arbitrations first-free,round-robin,least-held] [--repairs aware,blind]
+                [--modes sf,wormhole:<flits>[:<lanes>]] [--repairs aware,blind]
                 [--workloads open,rr:all:32,flow:8:16:4,allreduce:all:64,adv:0.5:32]
                 [--cycles <c>] [--warmup <w>] [--seed <s>] [--converge <window>:<tol>]
                 [--faults none,rand:<k>,mtbf:<m>:<r>,outage:<k>:<down>:<up>,double:S<i>:<j>,stageburst:S<i>,band:S<i>:<j>x<w>,link:S<i>:<j><-|=|+>]
@@ -68,23 +66,14 @@ run.
 
 switching modes: `sf` is store-and-forward (default); `wormhole:<flits>`
 pipelines each packet as a worm of that many flits over reserved link
-lanes (one lane per link unless `:<lanes>` is given). With multiple
-lanes, `--arbitration` picks which free lane a grant lands on:
-`first-free` (default) scans from lane 0, `round-robin` rotates a
-per-link cursor, `least-held` levels cumulative grants. Every published
-statistic is lane-invariant, so the choice never changes results — the
-axis exists to pin that invariance.
+lanes (one lane per link unless `:<lanes>` is given). A head takes the
+lowest free lane of a link; every published statistic is lane-invariant.
 
 tag repair: under `--policy tsdt` with an mtbf or outage scenario, `aware`
 (default) senders retag destinations whose cached route was refused or
 bent the moment the blamed link is repaired; `blind` senders keep stale
 tags until the next failure flushes the cache. The delta is the E20
 repair-awareness experiment.
-
-engines: `sync` (default) visits the whole network every cycle; `event`
-wakes only the work that can progress. Statistics are identical either
-way — the event engine is a performance choice for low-load/large-N
-runs.
 
 workloads: `open` (default) is the Bernoulli open loop driven by
 `--load`; the others own injection (store-and-forward only, `--load`
@@ -102,7 +91,7 @@ links); `:sticky` keeps the previous winner until its queue fills.
 steady state: `--converge <window>:<tol>` (e.g. 250:0.05) stops a run
 early once two consecutive <window>-cycle mean latencies agree within
 relative <tol>; the stop cycle lands in the artifact as
-`converged_at_cycle`. Identical across engines and thread counts.
+`converged_at_cycle`. Identical across thread counts.
 
 fleet-scale sweeps: `--journal <path>` streams the campaign (memory
 stays flat) and appends each finished run to an on-disk progress
@@ -235,21 +224,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "route" | "reroute" | "paths" => &["n", "s", "d", "block"],
         "render" => &["n", "net"],
         "simulate" => &[
-            "n",
-            "load",
-            "cycles",
-            "warmup",
-            "policy",
-            "mode",
-            "engine",
-            "arbitration",
-            "repair",
-            "workload",
-            "queue",
-            "seed",
-            "faults",
-            "block",
-            "converge",
+            "n", "load", "cycles", "warmup", "policy", "mode", "repair", "workload", "queue",
+            "seed", "faults", "block", "converge",
         ],
         "subgraphs" => &["n"],
         "dot" => &["n", "net", "s", "d", "block"],
@@ -263,8 +239,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "policies",
             "patterns",
             "modes",
-            "engines",
-            "arbitrations",
             "repairs",
             "workloads",
             "queues",
@@ -550,14 +524,8 @@ fn apply_spec_flags(spec: &mut SweepSpec, args: &Args) -> Result<(), String> {
     if let Some(text) = axis("modes", "mode") {
         spec.modes = list(text, iadm_sweep::parse_mode)?;
     }
-    if let Some(text) = axis("arbitrations", "arbitration") {
-        spec.arbitrations = list(text, iadm_sweep::parse_arbitration)?;
-    }
     if let Some(text) = axis("repairs", "repair") {
         spec.tag_repairs = list(text, iadm_sweep::parse_tag_repair)?;
-    }
-    if let Some(text) = axis("engines", "engine") {
-        spec.engines = list(text, iadm_sweep::parse_engine)?;
     }
     if let Some(text) = axis("workloads", "workload") {
         spec.workloads = list(text, iadm_sim::WorkloadSpec::parse)?;
@@ -964,22 +932,6 @@ mod tests {
                 "simulate", "-n", "8", "--cycles", "100", "--faults", "rand:2", "--block", "S0:1-",
             ],
             vec![
-                "simulate", "-n", "8", "--cycles", "100", "--engine", "event",
-            ],
-            vec![
-                "simulate",
-                "-n",
-                "8",
-                "--cycles",
-                "120",
-                "--engine",
-                "event",
-                "--mode",
-                "wormhole:4",
-                "--faults",
-                "mtbf:40:15",
-            ],
-            vec![
                 "simulate",
                 "-n",
                 "8",
@@ -996,8 +948,6 @@ mod tests {
                 "120",
                 "--workload",
                 "flow:4:8:3",
-                "--engine",
-                "event",
             ],
             vec![
                 "simulate",
@@ -1062,8 +1012,6 @@ mod tests {
                 "120",
                 "--mode",
                 "wormhole:4:2",
-                "--arbitration",
-                "round-robin",
             ],
             vec![
                 "simulate",
@@ -1140,27 +1088,10 @@ mod tests {
                 "sweep",
                 "--n",
                 "8",
-                "--loads",
-                "0.3",
-                "--policies",
-                "fixed,ssdt",
-                "--engines",
-                "sync,event",
-                "--cycles",
-                "100",
-                "--faults",
-                "none,mtbf:40:15",
-            ],
-            vec![
-                "sweep",
-                "--n",
-                "8",
                 "--policies",
                 "ssdt,tsdt",
                 "--workloads",
                 "rr:all:8,flow:4:8:2",
-                "--engines",
-                "sync,event",
                 "--cycles",
                 "100",
                 "--faults",
@@ -1174,8 +1105,6 @@ mod tests {
                 "0.4",
                 "--policies",
                 "ssdt,dchoice:2,dchoice:2:sticky",
-                "--engines",
-                "sync,event",
                 "--cycles",
                 "120",
                 "--converge",
@@ -1191,8 +1120,6 @@ mod tests {
                 "tsdt",
                 "--modes",
                 "wormhole:4:2",
-                "--arbitrations",
-                "first-free,round-robin,least-held",
                 "--repairs",
                 "aware,blind",
                 "--cycles",
@@ -1239,7 +1166,6 @@ mod tests {
                 "--policies" => "--policy",
                 "--modes" => "--mode",
                 "--workloads" => "--workload",
-                "--engines" => "--engine",
                 other => other,
             }
         }
@@ -1264,14 +1190,6 @@ mod tests {
                 "dchoice:2",
                 "--converge",
                 "25:0.2",
-            ],
-            vec![
-                "--loads",
-                "0.3",
-                "--engines",
-                "event",
-                "--faults",
-                "mtbf:40:15",
             ],
         ] {
             let mut flags = vec!["--n", "8", "--cycles", "200", "--seed", "5"];
@@ -1330,7 +1248,11 @@ mod tests {
             vec!["sweep", "--faults", "mtbf:0:5"],
             vec!["sweep", "--modes", "cut-through"],
             vec!["sweep", "--modes", "wormhole:0"],
-            vec!["sweep", "--engines", "warp"],
+            // The engine and lane-arbitration flags are gone.
+            vec!["sweep", "--engines", "sync,event"],
+            vec!["sweep", "--arbitrations", "round-robin"],
+            vec!["simulate", "-n", "8", "--engine", "event"],
+            vec!["simulate", "-n", "8", "--arbitration", "least-held"],
             vec!["sweep", "--workloads", "bogus"],
             vec!["sweep", "--workloads", "rr:all:8", "--loads", "0.5"],
             vec!["sweep", "--workloads", "rr:all:8", "--modes", "wormhole:4"],
@@ -1355,7 +1277,6 @@ mod tests {
                 "--converge",
                 "80:0.05",
             ],
-            vec!["simulate", "-n", "8", "--engine", "async"],
             vec!["simulate", "-n", "8", "--workload", "bogus"],
             vec![
                 "simulate",
@@ -1384,9 +1305,7 @@ mod tests {
             // must be a parse error, never a panic inside the table.
             vec!["simulate", "-n", "8", "--mode", "wormhole:4:70000"],
             vec!["sweep", "--modes", "wormhole:4:70000"],
-            vec!["simulate", "-n", "8", "--arbitration", "lottery"],
             vec!["simulate", "-n", "8", "--repair", "psychic"],
-            vec!["sweep", "--arbitrations", "lottery"],
             vec!["sweep", "--repairs", "psychic"],
             vec!["simulate", "-n", "8", "--faults", "outage:6:50"],
             vec!["sweep", "--faults", "outage:6:120:50"],

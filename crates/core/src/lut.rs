@@ -26,7 +26,7 @@ use iadm_topology::{bit, LinkKind, Size};
 /// The paper's Figure 4 switching table as a constant: the output link of
 /// a switch as a function of its parity bit (`bit(j, i)`), the tag bit
 /// `t_i`, and the state bit (0 = `C`, 1 = `C̄`). Equal to
-/// [`route_kind`]`(j, i, t, state)` for every switch — verified
+/// [`route_kind`](crate::connect::route_kind)`(j, i, t, state)` for every switch — verified
 /// exhaustively in the tests.
 pub const KIND_BY_PARITY_TAG_STATE: [[[LinkKind; 2]; 2]; 2] = [
     // even_i switches (parity bit 0)
@@ -41,7 +41,7 @@ pub const KIND_BY_PARITY_TAG_STATE: [[[LinkKind; 2]; 2]; 2] = [
     ],
 ];
 
-/// Constant-time [`route_kind`] via [`KIND_BY_PARITY_TAG_STATE`]:
+/// Constant-time [`route_kind`](crate::connect::route_kind) via [`KIND_BY_PARITY_TAG_STATE`]:
 /// `parity` is bit `stage` of the switch label, `t` the tag bit.
 ///
 /// # Panics

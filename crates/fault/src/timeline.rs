@@ -107,7 +107,7 @@ impl FaultTimeline {
     ///
     /// Most links at a short horizon never fail inside it. Their first
     /// up-time is decided by comparing the stream's first raw draw with
-    /// [`first_failure_cutoff`], without building the generator or taking
+    /// a precomputed cutoff, without building the generator or taking
     /// a logarithm; only the links below the cutoff replay their full
     /// schedule. The events are exactly those of drawing every link's
     /// schedule in full.

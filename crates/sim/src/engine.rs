@@ -12,10 +12,8 @@
 //! statistics are bit-identical to the original nested-`Vec` engine
 //! (enforced by `tests/parity.rs`).
 
-use crate::active::ActiveArena;
-use crate::event::{Event, EventQueue};
 use crate::packet::Packet;
-use crate::queue::{LaneArbitration, QueueArena, ReservationTable};
+use crate::queue::{QueueArena, ReservationTable};
 use crate::scratch::{touched_switches, Needs, SimScratch};
 use crate::stats::{add_ones, SimStats};
 use crate::tags::{Lookup, TagCache, TagRepair};
@@ -46,8 +44,8 @@ pub struct SimConfig {
     pub offered_load: f64,
     /// RNG seed (runs are deterministic per seed).
     pub seed: u64,
-    /// Which scheduling core drives the run (statistics are identical
-    /// either way; see [`EngineKind`]).
+    /// A label, accepted and ignored: every run takes the one engine
+    /// (see [`EngineKind`]).
     pub engine: EngineKind,
 }
 
@@ -57,8 +55,12 @@ impl SimConfig {
     /// finite and in `[0, 1]`, `warmup <= cycles`, `cycles`
     /// representable in the 32 bits [`Packet`] stores `injected_at` in
     /// (a longer run would silently truncate injection timestamps and
-    /// underflow the latency subtraction), and `queue_capacity` in
-    /// `1..=u16::MAX` (the arenas store ring offsets as `u16`).
+    /// underflow the latency subtraction), `queue_capacity` in
+    /// `1..=u16::MAX` (the arenas store ring offsets as `u16`), and the
+    /// `3·N·n` links of the network indexable in 32 bits (the outage
+    /// clocks list failed links by `u32` flat index). It allocates
+    /// nothing, so an oversized network is an `Err` here rather than an
+    /// allocator abort later.
     pub fn validate(&self) -> Result<(), String> {
         if !self.offered_load.is_finite() {
             return Err(format!(
@@ -89,31 +91,50 @@ impl SimConfig {
                 u16::MAX
             ));
         }
-        Ok(())
+        index_fits_u32(Link::slot_count(self.size), 1, "links")
     }
 }
 
-/// Which scheduling core drives a run.
-///
-/// Both engines execute the *same* simulation — identical decision
-/// order, identical RNG draw order, identical floating-point fold order
-/// — so their statistics are byte-identical (the differential contract
-/// of `tests/equivalence.rs`). The event-driven engine wakes only the
-/// work that can progress; since the synchronous loop gained the shared
-/// arrival kernel and the sparse accept reset it runs at the same
-/// low-load rate, up to N = 8192 (DESIGN.md §9). The event engine is
-/// kept as the differential oracle of the cycle loop, not for speed.
+/// `Ok` iff `links * per_link` flat indices fit the 32 bits the engine
+/// stores them in; otherwise an error naming what overflowed.
+fn index_fits_u32(links: usize, per_link: usize, what: &str) -> Result<(), String> {
+    let count = links as u128 * per_link as u128;
+    if count <= u128::from(u32::MAX) {
+        return Ok(());
+    }
+    Err(format!(
+        "{count} {what} exceed the {} that 32-bit flat indices can address",
+        u32::MAX
+    ))
+}
+
+/// A scheduling-engine label. There is one engine; the label survives
+/// because campaign records and presets still carry it (E17's
+/// `"engine":"event"` records), and [`SimConfig::engine`] accepts it
+/// without reading it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// Visit every stage, every waiting source, and every switch scan
-    /// position each cycle (the original engine; the statistics oracle
-    /// the event engine is differenced against).
+    /// The label of the default run (emitted nowhere).
     #[default]
     Synchronous,
-    /// Wake exactly the stages, sources, and timelines that can make
-    /// progress, driven by a time-ordered [`EventQueue`] and a dense
-    /// arena of the non-empty link buffers.
+    /// The label E17's engine axis records as `"event"`.
     EventDriven,
+}
+
+/// A wormhole lane-arbitration label. A grant always takes the
+/// lowest-index free lane, and which lane it takes is unobservable in
+/// any statistic; the label survives because E20's records and presets
+/// carry it, and [`Simulator::with_lane_arbitration`] accepts it without
+/// reading it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum LaneArbitration {
+    /// The label of the default run (emitted nowhere).
+    #[default]
+    FirstFree,
+    /// The label E20 records as `"round-robin"`.
+    RoundRobin,
+    /// The label E20 records as `"least-held"`.
+    LeastHeld,
 }
 
 /// How a switch assigns a nonstraight-bound packet to one of its two
@@ -174,6 +195,33 @@ pub enum SwitchingMode {
         /// Lanes per link (>= 1).
         lanes: u32,
     },
+}
+
+impl SwitchingMode {
+    /// Checks the mode against a network of `size`, allocating nothing:
+    /// a wormhole mode needs at least one flit and one lane, at most
+    /// `u16::MAX` lanes (the reservation table's held counters), and its
+    /// `3·N·n·lanes` lane slots indexable in 32 bits (worms list the
+    /// slots they hold as `u32`).
+    pub fn validate(&self, size: Size) -> Result<(), String> {
+        let SwitchingMode::Wormhole { flits, lanes } = *self else {
+            return Ok(());
+        };
+        if flits == 0 {
+            return Err("wormhole mode needs at least one flit per packet".into());
+        }
+        if lanes == 0 {
+            return Err("wormhole mode needs at least one lane per link".into());
+        }
+        if lanes > u32::from(u16::MAX) {
+            return Err(format!(
+                "wormhole mode: {lanes} lanes per link exceeds the reservation \
+                 table's u16 lane counters (max {})",
+                u16::MAX
+            ));
+        }
+        index_fits_u32(Link::slot_count(size), lanes as usize, "lane slots")
+    }
 }
 
 /// One wormhole-mode packet in flight: `flits` flits pipelined over the
@@ -260,12 +308,9 @@ pub struct LaneLedger {
 /// counters, and the run stops early once two consecutive *non-empty*
 /// windows agree within a relative tolerance — the long-run regime the
 /// paper's steady-state analysis assumes has been reached, and further
-/// cycles only re-measure it. Works identically under both engines: the
-/// event engine clamps its idle-time jumps to the next window boundary,
-/// so the poll sequence — and therefore the stop cycle and every
-/// statistic — is byte-identical to the synchronous engine's.
+/// cycles only re-measure it.
 #[derive(Debug)]
-struct ConvergeState {
+pub(crate) struct ConvergeState {
     /// Window length in cycles (> 0).
     window: u64,
     /// Relative tolerance: converged when
@@ -281,8 +326,56 @@ struct ConvergeState {
     prev_mean: Option<f64>,
 }
 
+impl ConvergeState {
+    /// A detector with `window`-cycle windows and relative tolerance
+    /// `tol`, before its first window.
+    pub(crate) fn new(window: u64, tol: f64) -> ConvergeState {
+        ConvergeState {
+            window,
+            tol,
+            next: window,
+            prev_sum: 0,
+            prev_count: 0,
+            prev_mean: None,
+        }
+    }
+
+    /// Convergence poll, called after `cycle` cycles have completed:
+    /// returns `true` when the run just crossed a window boundary *and*
+    /// the last two non-empty windows' mean latencies agree within
+    /// tolerance. Stamps [`SimStats::converged_at_cycle`] on the
+    /// deciding boundary.
+    #[inline]
+    pub(crate) fn poll(&mut self, cycle: u64, stats: &mut SimStats) -> bool {
+        if cycle < self.next {
+            return false;
+        }
+        let count = stats.latency_count - self.prev_count;
+        let mean = if count > 0 {
+            Some((stats.latency_sum - self.prev_sum) as f64 / count as f64)
+        } else {
+            // An empty window (warmup, idle traffic) carries no evidence;
+            // it neither converges nor becomes the comparison baseline.
+            None
+        };
+        if let (Some(cur), Some(prev)) = (mean, self.prev_mean) {
+            if (cur - prev).abs() <= self.tol * prev {
+                stats.converged_at_cycle = self.next;
+                return true;
+            }
+        }
+        self.prev_sum = stats.latency_sum;
+        self.prev_count = stats.latency_count;
+        if mean.is_some() {
+            self.prev_mean = mean;
+        }
+        self.next += self.window;
+        false
+    }
+}
+
 /// What the switching decision did with a packet this cycle.
-enum Decision {
+pub(crate) enum Decision {
     /// Enqueue on this output link.
     Enqueue(LinkKind),
     /// All usable buffers are full; retry next cycle.
@@ -292,16 +385,13 @@ enum Decision {
     Drop,
 }
 
-/// Uniform occupancy view over the three buffer backends a switching
-/// decision balances across: the flat FIFO [`QueueArena`]
-/// (store-and-forward, occupancy = queued packets), the
-/// [`ReservationTable`] (wormhole, occupancy = held lanes), and the event
-/// engine's dense [`ActiveArena`]. One [`PolicyCtx::decide`] body serves
-/// all three hot paths through this trait; monomorphization turns each
-/// instantiation back into direct calls, so the generated code — and the
-/// byte-exact statistics the parity goldens pin — match the three
-/// hand-specialized copies this replaced.
-trait BufferView {
+/// Uniform occupancy view over the buffer backends a switching decision
+/// balances across: the flat FIFO [`QueueArena`] (store-and-forward,
+/// occupancy = queued packets) and the [`ReservationTable`] (wormhole,
+/// occupancy = held lanes). One [`PolicyCtx::decide`] body serves both
+/// hot paths, and the test-only reference loop, through this trait;
+/// monomorphization turns each instantiation back into direct calls.
+pub(crate) trait BufferView {
     /// Current occupancy of buffer slot `q` (queue length, held lanes).
     fn occupancy(&self, q: usize) -> usize;
     /// Can slot `q` not accept another packet (or worm head)?
@@ -330,45 +420,33 @@ impl BufferView for ReservationTable {
     }
 }
 
-impl BufferView for ActiveArena {
-    #[inline]
-    fn occupancy(&self, q: usize) -> usize {
-        self.len(q)
-    }
-    #[inline]
-    fn is_full(&self, q: usize) -> bool {
-        ActiveArena::is_full(self, q)
-    }
-}
-
 /// The routing-relevant slice of a [`Simulator`], reborrowed field by
 /// field so the decision logic can mutate policy state (SSDT switch
 /// states, the RNG, reroute counters, sticky choices) while the caller
 /// still holds a shared borrow of whichever buffer backend is in play.
-/// Built inline by the three `decide*` wrappers; never stored.
-struct PolicyCtx<'a> {
-    policy: RoutingPolicy,
-    n: usize,
-    dynamic: bool,
-    blockages: &'a BlockageMap,
-    lut: &'a RouteLut,
-    stats: &'a mut SimStats,
-    states: &'a mut NetworkState,
-    rng: &'a mut StdRng,
+/// Built inline by the `decide*` wrappers; never stored.
+pub(crate) struct PolicyCtx<'a> {
+    pub(crate) policy: RoutingPolicy,
+    pub(crate) n: usize,
+    pub(crate) dynamic: bool,
+    pub(crate) blockages: &'a BlockageMap,
+    pub(crate) lut: &'a RouteLut,
+    pub(crate) stats: &'a mut SimStats,
+    pub(crate) states: &'a mut NetworkState,
+    pub(crate) rng: &'a mut StdRng,
     /// Per-`(stage, switch)` sticky d-choice memory: 0 = no previous
     /// choice, else `LinkKind::index() + 1`. Empty unless the policy is
     /// `DChoice { sticky: true, .. }`.
-    sticky: &'a mut [u8],
+    pub(crate) sticky: &'a mut [u8],
 }
 
 impl PolicyCtx<'_> {
     /// Decides which output buffer of switch `sw` at `stage` a packet
     /// bound for `dest` (carrying TSDT state word `tag_state`, if any)
     /// enters. This is the single shared body behind
-    /// [`Simulator::decide`], [`Simulator::decide_worm`] and
-    /// [`Simulator::decide_active`] — the policy match lives here once,
-    /// parameterized over the occupancy backend.
-    fn decide<B: BufferView>(
+    /// [`Simulator::decide`] and [`Simulator::decide_worm`] — the policy
+    /// match lives here once, parameterized over the occupancy backend.
+    pub(crate) fn decide<B: BufferView>(
         &mut self,
         buffers: &B,
         stage: usize,
@@ -545,81 +623,21 @@ impl PolicyCtx<'_> {
     }
 }
 
-/// All event-driven-engine state, boxed into an `Option` on the
-/// [`Simulator`]: `None` means synchronous and costs the hot path
-/// exactly one branch at the top of [`Simulator::step`] (the same
-/// pattern `WormState` uses), so the synchronous instruction sequence —
-/// and therefore its statistics — stays byte-identical to the
-/// pre-event-engine code (enforced by `tests/parity.rs`).
-#[derive(Debug)]
-struct EventState {
-    /// Pending work, ordered by `(cycle, within-cycle phase priority)`.
-    queue: EventQueue,
-    /// The link buffers, stored densely by non-empty queue (replaces the
-    /// flat `QueueArena` on this engine; identical accounting).
-    active: ActiveArena,
-    /// Per-output-switch accept counters, epoch-stamped so an `Advance`
-    /// event gets a logically-zeroed array without an O(N) fill:
-    /// `epoch << 8 | count`, read as 0 when the stamp is stale.
-    accepted: Vec<u64>,
-    /// Current accept-counter epoch (bumped once per `Advance` event,
-    /// mirroring the synchronous per-stage `accepted` fill).
-    epoch: u64,
-    /// Per-stage cycle an `Advance(stage)` is already scheduled for
-    /// (`u64::MAX` = none) — pushes are deduplicated against this stamp.
-    advance_sched: Vec<u64>,
-    /// Cycle an `Admission` is already scheduled for.
-    admission_sched: u64,
-    /// Cycle a `Fault` is already scheduled for.
-    fault_sched: u64,
-    /// Earliest cycle a workload `Arrivals` is already scheduled for
-    /// (`u64::MAX` = none). Unlike the other stamps this tracks the
-    /// *earliest* pending wake rather than the only one: a delivery hook
-    /// can pull the wake-up earlier than a previously armed timer, and
-    /// the superseded later event then fires as a harmless spurious poll
-    /// ([`WorkloadSource::poll`] is a strict no-op on non-due cycles).
-    workload_sched: u64,
-}
-
-impl EventState {
-    /// Schedules `Advance(stage)` at `cycle` unless one is already
-    /// pending for that cycle.
-    #[inline]
-    fn schedule_advance(&mut self, stage: usize, cycle: u64) {
-        if self.advance_sched[stage] != cycle {
-            self.advance_sched[stage] = cycle;
-            self.queue.push(cycle, Event::Advance(stage as u16));
-        }
-    }
-
-    /// Schedules `Admission` at `cycle` unless one is already pending
-    /// for that cycle.
-    #[inline]
-    fn schedule_admission(&mut self, cycle: u64) {
-        if self.admission_sched != cycle {
-            self.admission_sched = cycle;
-            self.queue.push(cycle, Event::Admission);
-        }
-    }
-}
-
 /// Closed-loop workload state, boxed into an `Option` on the
-/// [`Simulator`] (the `WormState`/`EventState` pattern): `None` means
+/// [`Simulator`] (the `WormState` pattern): `None` means
 /// open-loop and costs the arrivals phase exactly one branch, so the
 /// open-loop instruction sequence — and therefore every pre-workload
 /// parity golden — stays byte-identical (enforced by `tests/parity.rs`).
 #[derive(Debug)]
 struct WlState {
-    /// The pull-based injection source the engines drive.
+    /// The pull-based injection source the engine drives.
     source: Box<dyn WorkloadSource>,
     /// Dedicated workload RNG stream: think times and server choices
-    /// never perturb the engine RNG, so a closed-loop run's routing tie
-    /// breaks draw the same sequence under both engines.
+    /// never perturb the engine RNG.
     rng: StdRng,
     /// Injection staging buffer, reused across cycles. Delivery hooks
     /// append response emissions here mid-cycle; the arrivals phase
-    /// appends the poll's issues after them and drains the lot, so both
-    /// engines inject in the identical order.
+    /// appends the poll's issues after them and drains the lot.
     buffer: Vec<Injection>,
 }
 
@@ -697,13 +715,6 @@ pub struct Simulator {
     cycle: u64,
     /// Wormhole-mode state; `None` = store-and-forward (the default).
     wormhole: Option<WormState>,
-    /// How wormhole reservations pick among a link's free lanes
-    /// ([`Simulator::with_lane_arbitration`]). Pure lane tie-breaking —
-    /// every statistic is lane-invariant (see [`LaneArbitration`]) —
-    /// and inert outside wormhole mode.
-    lane_arb: LaneArbitration,
-    /// Event-driven-engine state; `None` = synchronous (the default).
-    event: Option<Box<EventState>>,
     /// Closed-loop workload state; `None` = open-loop Bernoulli arrivals
     /// (the default).
     workload: Option<Box<WlState>>,
@@ -856,40 +867,11 @@ impl Simulator {
         assert_eq!(timeline.size(), config.size, "fault timeline size mismatch");
         let size = config.size;
         let dynamic = !timeline.is_empty();
-        let event = if config.engine == EngineKind::EventDriven {
-            let mut queue = EventQueue::new(size.stages() as u16);
-            // Seed the schedule: arrivals fire every cycle while load is
-            // offered (each source consumes one RNG draw per cycle either
-            // way), and the first timeline event fires at its exact cycle
-            // so the outage clocks match the synchronous engine's.
-            if config.offered_load > 0.0 && config.cycles > 0 {
-                queue.push(0, Event::Arrivals);
-            }
-            let mut fault_sched = u64::MAX;
-            if let Some(first) = timeline.events().first() {
-                fault_sched = first.cycle;
-                queue.push(first.cycle, Event::Fault);
-            }
-            Some(Box::new(EventState {
-                queue,
-                active: ActiveArena::new(Link::slot_count(size), config.queue_capacity),
-                accepted: vec![0; size.n()],
-                epoch: 0,
-                advance_sched: vec![u64::MAX; size.stages()],
-                admission_sched: u64::MAX,
-                fault_sched,
-                workload_sched: u64::MAX,
-            }))
-        } else {
-            None
-        };
         let mut buffers = std::mem::take(scratch);
         buffers.prepare(
             size,
             &Needs {
-                // The event engine keeps its buffers in the dense
-                // `ActiveArena` instead.
-                arena: event.is_none().then_some(config.queue_capacity),
+                capacity: config.queue_capacity,
                 dynamic,
                 events: timeline.len(),
                 tags: policy == RoutingPolicy::TsdtSender,
@@ -946,8 +928,6 @@ impl Simulator {
             blockages,
             cycle: 0,
             wormhole: None,
-            lane_arb: LaneArbitration::default(),
-            event,
             workload: None,
             downed_scratch,
             accept_limit: 1,
@@ -1010,11 +990,14 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `flits == 0` or `lanes == 0`.
+    /// Panics if [`SwitchingMode::validate`] rejects the mode for this
+    /// network (`flits == 0`, `lanes == 0`, or too many lane slots).
     #[must_use]
     pub fn with_wormhole_switching(mut self, flits: u32, lanes: u32) -> Self {
-        assert!(flits > 0, "a worm needs at least one flit");
-        assert!(lanes > 0, "a link needs at least one lane");
+        let mode = SwitchingMode::Wormhole { flits, lanes };
+        if let Err(msg) = mode.validate(self.config.size) {
+            panic!("{msg}");
+        }
         assert!(
             self.workload.is_none(),
             "closed-loop workloads drive store-and-forward runs only"
@@ -1026,11 +1009,7 @@ impl Simulator {
         self.queues = QueueArena::default();
         self.wormhole = Some(WormState {
             flits,
-            reservations: ReservationTable::with_arbitration(
-                Link::slot_count(size),
-                lanes as usize,
-                self.lane_arb,
-            ),
+            reservations: ReservationTable::new(Link::slot_count(size), lanes as usize),
             worms: Vec::new(),
             free: Vec::new(),
             order: Vec::new(),
@@ -1039,25 +1018,11 @@ impl Simulator {
         self
     }
 
-    /// Sets the lane-arbitration policy wormhole reservations use to pick
-    /// among a link's free lanes (default: [`LaneArbitration::FirstFree`],
-    /// byte-exact to the engine before arbitration was configurable).
-    /// Composes with [`Simulator::with_wormhole_switching`] in either
-    /// order; a no-op for store-and-forward runs, where no lanes exist.
+    /// Accepts a [`LaneArbitration`] label and ignores it: a grant always
+    /// takes the lowest-index free lane, and no statistic can tell which
+    /// lane it took. Kept so callers that carry the label still build.
     #[must_use]
-    pub fn with_lane_arbitration(mut self, arb: LaneArbitration) -> Self {
-        self.lane_arb = arb;
-        if let Some(worm) = self.wormhole.as_mut() {
-            debug_assert!(
-                worm.order.is_empty(),
-                "arbitration must be set before the run starts"
-            );
-            worm.reservations = ReservationTable::with_arbitration(
-                worm.reservations.link_count(),
-                worm.reservations.lanes(),
-                arb,
-            );
-        }
+    pub fn with_lane_arbitration(self, _arb: LaneArbitration) -> Self {
         self
     }
 
@@ -1106,9 +1071,7 @@ impl Simulator {
     /// Attaches a live closed-loop [`WorkloadSource`]: the source owns
     /// injection (polled once per cycle as the arrivals phase, fed
     /// delivery/loss feedback per tracked packet), drawing from its own
-    /// `seed`ed RNG stream. Under the event engine the source's
-    /// [`WorkloadSource::next_wake`] contract drives scheduling, so idle
-    /// think spans cost nothing.
+    /// `seed`ed RNG stream.
     ///
     /// # Panics
     ///
@@ -1130,17 +1093,6 @@ impl Simulator {
             rng: StdRng::seed_from_u64(seed),
             buffer: Vec::new(),
         });
-        if let Some(ev) = self.event.as_mut() {
-            // Seed the event schedule with the source's first wake (the
-            // constructor's open-loop `Arrivals` seeding never fires for
-            // closed-loop runs: their offered load is 0).
-            if let Some(due) = wl.source.next_wake(0) {
-                if due < self.config.cycles as u64 {
-                    ev.workload_sched = due;
-                    ev.queue.push(due, Event::Arrivals);
-                }
-            }
-        }
         self.workload = Some(wl);
         self
     }
@@ -1153,11 +1105,6 @@ impl Simulator {
     /// whose windows never carry samples) executes the full fixed
     /// horizon, with `converged_at_cycle` left at its `0` sentinel.
     ///
-    /// Detection is engine-independent: both engines poll at exactly the
-    /// window boundaries with identical cumulative counters, so an
-    /// early-stopped run's statistics stay byte-identical between
-    /// [`EngineKind::Synchronous`] and [`EngineKind::EventDriven`].
-    ///
     /// # Panics
     ///
     /// Panics if `window` is zero or `tol` is negative or non-finite.
@@ -1168,51 +1115,8 @@ impl Simulator {
             tol.is_finite() && tol >= 0.0,
             "convergence tolerance must be finite and non-negative, got {tol}"
         );
-        self.converge = Some(ConvergeState {
-            window,
-            tol,
-            next: window,
-            prev_sum: 0,
-            prev_count: 0,
-            prev_mean: None,
-        });
+        self.converge = Some(ConvergeState::new(window, tol));
         self
-    }
-
-    /// Convergence poll, called with `self.cycle` positioned at a cycle
-    /// boundary (after the boundary cycle's work): returns `true` when
-    /// the run just crossed a window boundary *and* the last two
-    /// non-empty windows' mean latencies agree within tolerance. Stamps
-    /// [`SimStats::converged_at_cycle`] on the deciding boundary.
-    #[inline]
-    fn converge_poll(&mut self) -> bool {
-        let Some(cv) = self.converge.as_mut() else {
-            return false;
-        };
-        if self.cycle < cv.next {
-            return false;
-        }
-        let count = self.stats.latency_count - cv.prev_count;
-        let mean = if count > 0 {
-            Some((self.stats.latency_sum - cv.prev_sum) as f64 / count as f64)
-        } else {
-            // An empty window (warmup, idle traffic) carries no evidence;
-            // it neither converges nor becomes the comparison baseline.
-            None
-        };
-        if let (Some(cur), Some(prev)) = (mean, cv.prev_mean) {
-            if (cur - prev).abs() <= cv.tol * prev {
-                self.stats.converged_at_cycle = cv.next;
-                return true;
-            }
-        }
-        cv.prev_sum = self.stats.latency_sum;
-        cv.prev_count = self.stats.latency_count;
-        if mean.is_some() {
-            cv.prev_mean = mean;
-        }
-        cv.next += cv.window;
-        false
     }
 
     /// Queue-arena index of the `kind` output link of switch `sw` at
@@ -1327,30 +1231,24 @@ impl Simulator {
     /// issues land after any responses this cycle's delivery hooks
     /// staged) and admits every staged injection into its source queue,
     /// stamping each packet with its operation id. TSDT refusals feed
-    /// straight back as losses. Returns whether any source queue gained
-    /// a packet (the event engine arms admission on it).
-    fn workload_arrivals(&mut self) -> bool {
+    /// straight back as losses.
+    fn workload_arrivals(&mut self) {
         let mut wl = self
             .workload
             .take()
             .expect("workload_arrivals without a workload");
         wl.source.poll(self.cycle, &mut wl.rng, &mut wl.buffer);
-        let mut any = false;
         for i in 0..wl.buffer.len() {
             let inj = wl.buffer[i];
-            let queued = self.inject(inj.source as usize, inj.dest as usize, inj.op, 0);
-            any |= queued;
-            if !queued && inj.op != NO_OP {
+            if !self.inject(inj.source as usize, inj.dest as usize, inj.op, 0) && inj.op != NO_OP {
                 wl.source.on_lost(inj.op, self.cycle, &mut wl.rng);
             }
         }
         wl.buffer.clear();
         self.workload = Some(wl);
-        any
     }
 
-    /// The open-loop arrivals phase, shared by both engines and both
-    /// switching modes: one Bernoulli(`offered_load`) trial per source in
+    /// The open-loop arrivals phase, shared by both switching modes: one Bernoulli(`offered_load`) trial per source in
     /// ascending order, each hit followed by its destination draw. Every
     /// source consumes its trial whether or not a packet arrives, so the
     /// scan costs `N` draws per cycle at any load. The trial is the
@@ -1360,23 +1258,19 @@ impl Simulator {
     /// lives in registers across the (at low load overwhelmingly missed)
     /// loop instead of round-tripping through `self` on every draw; the
     /// state is written back after. `flits` is the packet length the flit
-    /// counters charge (0 under store-and-forward). Returns whether any
-    /// source queue gained a packet (the event engine arms admission on
-    /// it).
+    /// counters charge (0 under store-and-forward).
     #[inline]
-    fn open_loop_arrivals(&mut self, flits: u32) -> bool {
+    fn open_loop_arrivals(&mut self, flits: u32) {
         let size = self.config.size;
         let threshold = iadm_rng::bernoulli_threshold(self.config.offered_load);
         let mut rng = self.rng.clone();
-        let mut any = false;
         for s in 0..size.n() {
             if (rng.next_u64() >> 11) < threshold {
                 let dest = self.pattern.destination(size, s, &mut rng);
-                any |= self.inject(s, dest, NO_OP, flits);
+                self.inject(s, dest, NO_OP, flits);
             }
         }
         self.rng = rng;
-        any
     }
 
     /// Queues one arrival from source `s` to `dest`, stamped with
@@ -1486,13 +1380,6 @@ impl Simulator {
     /// Runs one cycle: deliver/advance from the last stage backward, then
     /// inject, then sample occupancies.
     pub fn step(&mut self) {
-        // The single event-engine branch on the synchronous path,
-        // mirroring the wormhole branch below: the synchronous
-        // instruction sequence is untouched when `event` is `None`.
-        if self.event.is_some() {
-            self.step_event();
-            return;
-        }
         // The single wormhole branch on the store-and-forward path: the
         // entire instruction sequence below is untouched when `wormhole`
         // is `None`.
@@ -1898,419 +1785,6 @@ impl Simulator {
         ctx.decide(res, stage, sw, dest, tag_state)
     }
 
-    /// One event-driven cycle. A cycle with no due events is *idle*: by
-    /// the scheduling invariants (every phase that could make progress
-    /// has an event pending), the synchronous engine would have decided
-    /// nothing and drawn no randomness during it, so only the occupancy
-    /// sample counter needs to advance.
-    fn step_event(&mut self) {
-        let mut ev = self.event.take().expect("step_event without event state");
-        if ev.queue.peek_cycle() != Some(self.cycle) {
-            if let Some(ws) = self.wormhole.as_mut() {
-                ws.reservations.tick();
-            } else {
-                ev.active.tick();
-            }
-            self.cycle += 1;
-        } else if self.wormhole.is_some() {
-            self.step_event_wormhole(&mut ev);
-        } else {
-            self.step_event_cycle(&mut ev);
-        }
-        self.event = Some(ev);
-    }
-
-    /// Dispatches every event due this cycle in phase-priority order —
-    /// exactly the synchronous engine's phase order: fault application,
-    /// stage advances from the last stage backward, source admission,
-    /// arrivals. Phases with no due event are phases the synchronous
-    /// engine would have no-opped (nothing queued, nothing waiting, no
-    /// timeline event due), so skipping them changes no decision and no
-    /// RNG draw.
-    fn step_event_cycle(&mut self, ev: &mut EventState) {
-        while ev.queue.peek_cycle() == Some(self.cycle) {
-            let (_, event) = ev.queue.pop().expect("peeked event vanished");
-            match event {
-                Event::Fault => self.event_fault(ev),
-                Event::WormAdvance => unreachable!("WormAdvance on the store-and-forward path"),
-                Event::Advance(stage) => self.event_advance(ev, stage as usize),
-                Event::Admission => self.event_admission(ev),
-                Event::Arrivals => {
-                    if self.workload.is_some() {
-                        self.event_workload(ev);
-                    } else {
-                        self.event_arrivals(ev);
-                    }
-                }
-            }
-        }
-        ev.active.tick();
-        self.cycle += 1;
-    }
-
-    /// Wormhole mode under the event engine: a due cycle runs the
-    /// synchronous wormhole step verbatim (worms move every cycle by
-    /// construction, so there is nothing to event within the cycle), and
-    /// the heap's only job is to skip fully-idle cycles — no live worms,
-    /// no waiting sources, no arrivals, no due timeline event.
-    fn step_event_wormhole(&mut self, ev: &mut EventState) {
-        while ev.queue.peek_cycle() == Some(self.cycle) {
-            ev.queue.pop();
-        }
-        self.step_wormhole();
-        let next = self.cycle;
-        let ws = self
-            .wormhole
-            .as_ref()
-            .expect("step_wormhole preserved the wormhole state");
-        if !ws.order.is_empty() {
-            ev.queue.push(next, Event::WormAdvance);
-        }
-        if self.source_bits.iter().any(|&w| w != 0) {
-            ev.queue.push(next, Event::Admission);
-        }
-        if self.config.offered_load > 0.0 && next < self.config.cycles as u64 {
-            ev.queue.push(next, Event::Arrivals);
-        }
-        self.schedule_fault(ev);
-    }
-
-    /// Applies the due timeline events (the cycle matches the next
-    /// unapplied event by construction, so the outage clocks record the
-    /// exact cycles the synchronous engine records) and schedules the
-    /// following one.
-    fn event_fault(&mut self, ev: &mut EventState) {
-        self.apply_due_events();
-        self.schedule_fault(ev);
-    }
-
-    /// Schedules a `Fault` at the next unapplied timeline event's cycle,
-    /// deduplicated against the pending one.
-    fn schedule_fault(&mut self, ev: &mut EventState) {
-        if let Some(event) = self.timeline.events().get(self.timeline_cursor) {
-            if ev.fault_sched != event.cycle {
-                ev.fault_sched = event.cycle;
-                ev.queue.push(event.cycle, Event::Fault);
-            }
-        }
-    }
-
-    /// [`Simulator::step`]'s per-stage advance, replayed event-style: the
-    /// identical rotated live-switch scan, kind rotation, accept limits,
-    /// and decision sequence, against the dense arena. Any packet left in
-    /// the stage (stalled or beyond the accept limit) re-arms the stage
-    /// for the next cycle; any packet moved forward arms the next stage —
-    /// which already fired this cycle (stages advance last-first), so the
-    /// hand-off lands exactly one cycle later, as in the synchronous scan.
-    fn event_advance(&mut self, ev: &mut EventState, stage: usize) {
-        if self.stage_load[stage] == 0 {
-            // The stage drained between scheduling and firing (e.g. a
-            // later-stage event of an earlier cycle consumed it): the
-            // synchronous engine's stage skip.
-            return;
-        }
-        let size = self.config.size;
-        let n = size.n();
-        let stages = size.stages();
-        let mask = n - 1;
-        let sw_offset = self.cycle as usize & mask;
-        let order_offset = (self.cycle % 3) as usize;
-        let kind_order = [
-            LinkKind::ALL[order_offset],
-            LinkKind::ALL[(order_offset + 1) % 3],
-            LinkKind::ALL[(order_offset + 2) % 3],
-        ];
-        // One epoch bump = the synchronous `accepted[..n].fill(0)`.
-        ev.epoch += 1;
-        let epoch = ev.epoch;
-        let row = stage * n;
-        let exit = stage + 1 == stages;
-        // Rotated busy-switch gather, identical in output order to the
-        // synchronous scan (see `step`). When the dense arena holds fewer
-        // live queues *network-wide* than this stage's bitmap has words,
-        // walking the arena and sorting by rotated index is cheaper than
-        // scanning the bitmap — that is the event engine's design regime,
-        // a handful of packets on a huge network. Both gathers produce
-        // the busy switches in ascending rotated order, so the decision
-        // sequence (and thus every golden) is unchanged.
-        let words = n.div_ceil(64);
-        let wrow = stage * words;
-        let mut live = std::mem::take(&mut self.live_scratch);
-        live.clear();
-        if ev.active.live_count() <= words {
-            ev.active.for_each_live(|q| {
-                let sw_abs = q as usize / 3;
-                if (row..row + n).contains(&sw_abs) {
-                    live.push((sw_abs - row) as u32);
-                }
-            });
-            // A switch with several live kind-queues appears once per
-            // queue; equal rotated keys sort adjacent, so dedup collapses
-            // them.
-            live.sort_unstable_by_key(|&sw| (sw as usize).wrapping_sub(sw_offset) & mask);
-            live.dedup();
-        } else {
-            let start_word = sw_offset >> 6;
-            let start_bit = sw_offset & 63;
-            let mut wi = start_word;
-            let mut w = self.switch_bits[wrow + wi] & (!0u64 << start_bit);
-            loop {
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-                wi += 1;
-                if wi == words {
-                    break;
-                }
-                w = self.switch_bits[wrow + wi];
-            }
-            for wi in 0..=start_word {
-                let mut w = self.switch_bits[wrow + wi];
-                if wi == start_word {
-                    w &= !(!0u64 << start_bit);
-                }
-                while w != 0 {
-                    live.push(((wi << 6) + w.trailing_zeros() as usize) as u32);
-                    w &= w - 1;
-                }
-            }
-        }
-        for &sw_live in &live {
-            let sw = sw_live as usize;
-            let qbase = (row + sw) * 3;
-            let mut kmask = 0u32;
-            for (i, kind) in kind_order.iter().enumerate() {
-                kmask |= u32::from(!ev.active.is_empty(qbase + kind.index())) << i;
-            }
-            while kmask != 0 {
-                let kind = kind_order[kmask.trailing_zeros() as usize];
-                kmask &= kmask - 1;
-                let q = qbase + kind.index();
-                if self.links_down_now > 0 && self.blockages.is_blocked(Link::new(stage, sw, kind))
-                {
-                    continue;
-                }
-                let to = kind.target(size, stage, sw);
-                let acc = ev.accepted[to];
-                let count = if acc >> 8 == epoch {
-                    (acc & 0xFF) as u8
-                } else {
-                    0
-                };
-                if count >= self.accept_limit {
-                    continue;
-                }
-                if exit {
-                    ev.accepted[to] = (epoch << 8) | u64::from(count + 1);
-                    let packet = ev.active.pop_carried(q);
-                    self.load_dec(stage, sw);
-                    self.stage_load[stage] -= 1;
-                    if to == packet.dest as usize {
-                        self.stats.delivered += 1;
-                        if packet.injected_at as u64 >= self.config.warmup as u64 {
-                            let lat = self.cycle + 1 - packet.injected_at as u64;
-                            self.stats.latency_sum += lat;
-                            self.stats.latency_count += 1;
-                            self.stats.latency_max = self.stats.latency_max.max(lat);
-                            self.stats.latency_histogram.record(lat);
-                        }
-                        self.note_workload_delivery(packet.op);
-                    } else {
-                        self.stats.misrouted += 1;
-                        self.note_workload_loss(packet.op);
-                    }
-                    continue;
-                }
-                let head = ev.active.head(q).expect("non-empty queue has a head");
-                let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide_active(&ev.active, stage + 1, to, dest, tag_state) {
-                    Decision::Enqueue(next_kind) => {
-                        let packet = ev.active.pop_carried(q);
-                        self.load_dec(stage, sw);
-                        self.stage_load[stage] -= 1;
-                        let next_q = (row + n + to) * 3 + next_kind.index();
-                        let ok = ev.active.push(next_q, packet);
-                        debug_assert!(ok, "decide_active() guaranteed space");
-                        self.load_inc(stage + 1, to);
-                        self.stage_load[stage + 1] += 1;
-                        ev.accepted[to] = (epoch << 8) | u64::from(count + 1);
-                        ev.schedule_advance(stage + 1, self.cycle + 1);
-                    }
-                    Decision::Stall => {}
-                    Decision::Drop => {
-                        let packet = ev.active.pop(q).expect("non-empty queue has a head");
-                        self.load_dec(stage, sw);
-                        self.stage_load[stage] -= 1;
-                        self.note_drop();
-                        self.note_workload_loss(packet.op);
-                    }
-                }
-            }
-        }
-        self.live_scratch = live;
-        if self.stage_load[stage] > 0 {
-            ev.schedule_advance(stage, self.cycle + 1);
-        }
-        if self.workload.is_some() {
-            // Delivery hooks may have staged responses (fire the
-            // arrivals phase later this cycle) or re-armed think timers.
-            self.arm_workload(ev, self.cycle);
-        }
-    }
-
-    /// [`Simulator::step`]'s source-admission phase, replayed
-    /// event-style: the identical ascending waiting-source walk and
-    /// decision sequence. An admitted packet arms stage 0 for the next
-    /// cycle; a source left waiting re-arms admission.
-    fn event_admission(&mut self, ev: &mut EventState) {
-        let n = self.config.size.n();
-        // Tracks whether any visited source keeps its bit set (stalled,
-        // or drained only one of several queued packets) — the loop
-        // visits every set bit, so this equals a full `source_bits`
-        // re-scan without paying it.
-        let mut left_waiting = false;
-        for wi in 0..n.div_ceil(64) {
-            let mut w = self.source_bits[wi];
-            while w != 0 {
-                let s = (wi << 6) + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let head = self.source_queues[s]
-                    .front()
-                    .expect("source bit set for an empty queue");
-                let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide_active(&ev.active, 0, s, dest, tag_state) {
-                    Decision::Enqueue(kind) => {
-                        let packet = self.source_queues[s].pop_front().unwrap();
-                        if self.source_queues[s].is_empty() {
-                            self.source_bits[wi] &= !(1u64 << (s & 63));
-                        } else {
-                            left_waiting = true;
-                        }
-                        let q = self.queue_index(0, s, kind);
-                        let ok = ev.active.push(q, packet);
-                        debug_assert!(ok, "decide_active() guaranteed space");
-                        self.load_inc(0, s);
-                        self.stage_load[0] += 1;
-                        ev.schedule_advance(0, self.cycle + 1);
-                    }
-                    Decision::Stall => left_waiting = true,
-                    Decision::Drop => {
-                        let packet = self.source_queues[s].pop_front().unwrap();
-                        if self.source_queues[s].is_empty() {
-                            self.source_bits[wi] &= !(1u64 << (s & 63));
-                        } else {
-                            left_waiting = true;
-                        }
-                        self.note_drop();
-                        self.note_workload_loss(packet.op);
-                    }
-                }
-            }
-        }
-        if left_waiting {
-            ev.schedule_admission(self.cycle + 1);
-        }
-        if self.workload.is_some() {
-            // Loss hooks may have re-armed think timers.
-            self.arm_workload(ev, self.cycle);
-        }
-    }
-
-    /// [`Simulator::step`]'s arrival phase, replayed event-style: the
-    /// identical Bernoulli draw per source (arrivals fire every cycle of
-    /// the horizon while load is offered — each source consumes one draw
-    /// whether or not a packet arrives, so skipping a cycle would shift
-    /// every later draw). A new waiting source arms admission.
-    fn event_arrivals(&mut self, ev: &mut EventState) {
-        if self.open_loop_arrivals(0) {
-            ev.schedule_admission(self.cycle + 1);
-        }
-        let next = self.cycle + 1;
-        if next < self.config.cycles as u64 {
-            ev.queue.push(next, Event::Arrivals);
-        }
-    }
-
-    /// The closed-loop twin of [`Simulator::event_arrivals`]: runs the
-    /// workload arrivals phase and re-arms the next wake. `Arrivals` is
-    /// the last phase priority within a cycle, so responses staged by
-    /// this cycle's delivery hooks inject this cycle — the synchronous
-    /// phase order. A spurious fire (stamp superseded by an earlier
-    /// wake, or a duplicate) polls harmlessly: the source's no-op
-    /// contract guarantees zero draws and zero issues off-schedule.
-    ///
-    /// `#[cold]` keeps this call out of the open-loop dispatch loop's
-    /// code layout: without it the workload branch in
-    /// `step_event_cycle`'s `Arrivals` arm degrades the open-loop
-    /// low-load ladder by ~35% at N = 8192 (measured; the arm inlines
-    /// differently and the arrivals scan spills). Closed-loop runs pay
-    /// one out-of-line call per poll, noise next to the poll itself.
-    #[cold]
-    fn event_workload(&mut self, ev: &mut EventState) {
-        if ev.workload_sched == self.cycle {
-            ev.workload_sched = u64::MAX;
-        }
-        let any = self.workload_arrivals();
-        if any {
-            ev.schedule_admission(self.cycle + 1);
-        }
-        self.arm_workload(ev, self.cycle + 1);
-    }
-
-    /// Schedules the workload's next `Arrivals`: this cycle when
-    /// delivery hooks staged responses (the phase must still run before
-    /// the cycle closes), otherwise at the source's declared next wake
-    /// from `now` on. Pushes only when it would *advance* the earliest
-    /// pending stamp — a later already-scheduled event stays queued and
-    /// fires as a spurious no-op poll.
-    fn arm_workload(&mut self, ev: &mut EventState, now: u64) {
-        let wl = self
-            .workload
-            .as_deref()
-            .expect("arm_workload without a workload");
-        let due = if wl.buffer.is_empty() {
-            match wl.source.next_wake(now) {
-                Some(due) => due,
-                None => return,
-            }
-        } else {
-            self.cycle
-        };
-        if due >= self.config.cycles as u64 {
-            return;
-        }
-        if ev.workload_sched > due {
-            ev.workload_sched = due;
-            ev.queue.push(due, Event::Arrivals);
-        }
-    }
-
-    /// [`Simulator::decide`]'s event-engine twin: the shared
-    /// [`PolicyCtx::decide`] body instantiated with the dense arena in
-    /// place of the flat one.
-    fn decide_active(
-        &mut self,
-        arena: &ActiveArena,
-        stage: usize,
-        sw: usize,
-        dest: u32,
-        tag_state: Option<u32>,
-    ) -> Decision {
-        let mut ctx = PolicyCtx {
-            policy: self.policy,
-            n: self.config.size.n(),
-            dynamic: self.dynamic,
-            blockages: &self.blockages,
-            lut: &self.lut,
-            stats: &mut self.stats,
-            states: &mut self.states,
-            rng: &mut self.rng,
-            sticky: &mut self.sticky,
-        };
-        ctx.decide(arena, stage, sw, dest, tag_state)
-    }
-
     /// Drains one flit of worm `id` into its output port, releasing the
     /// tail lane as the body shifts forward; on the last flit the worm
     /// retires and the delivery (and head-injection-to-tail-ejection
@@ -2428,63 +1902,12 @@ impl Simulator {
     }
 
     fn run_cycles(&mut self) {
-        if self.event.is_some() {
-            self.run_event();
-            return;
-        }
         for _ in 0..self.config.cycles {
             self.step();
-            if self.converge_poll() {
-                break;
-            }
-        }
-    }
-
-    /// The event engine's run loop: jump the clock straight to the next
-    /// due event (this is where idle regions cost nothing — one
-    /// `fast_forward` of the sample counter instead of per-cycle ticks,
-    /// with identical occupancy integrals), then process the due cycle.
-    fn run_event(&mut self) {
-        let horizon = self.config.cycles as u64;
-        while self.cycle < horizon {
-            // Clamp idle-time jumps to the next convergence window
-            // boundary: the poll must fire at exactly the cycles the
-            // synchronous engine polls at, or an early stop could land on
-            // a different cycle and break the engine-equivalence
-            // contract. Without convergence the clamp is `u64::MAX` and
-            // the jump is unchanged.
-            let boundary = self.converge.as_ref().map_or(u64::MAX, |cv| cv.next);
-            let next = self
-                .event
-                .as_ref()
-                .expect("run_event without event state")
-                .queue
-                .peek_cycle()
-                .unwrap_or(horizon)
-                .min(horizon)
-                .min(boundary);
-            if next > self.cycle {
-                let span = next - self.cycle;
-                if let Some(ws) = self.wormhole.as_mut() {
-                    ws.reservations.fast_forward(span);
-                } else {
-                    self.event
-                        .as_mut()
-                        .expect("run_event without event state")
-                        .active
-                        .fast_forward(span);
-                }
-                self.cycle = next;
-                if self.converge_poll() || self.cycle == horizon {
+            if let Some(cv) = self.converge.as_mut() {
+                if cv.poll(self.cycle, &mut self.stats) {
                     break;
                 }
-                // Jump landed on a window boundary with no due events:
-                // loop around and keep jumping from here.
-                continue;
-            }
-            self.step_event();
-            if self.converge_poll() {
-                break;
             }
         }
     }
@@ -2531,13 +1954,11 @@ impl Simulator {
         }
     }
 
-    /// Finalizes statistics without running further cycles. Every engine
-    /// and switching mode ends in the one link fold
-    /// ([`SimStats::fold_links`]): over every switch of the reservation
-    /// table, over the touched switches of the synchronous arena, and
-    /// over the switches of the event engine arena's touched queues.
-    /// Worms in flight are counted from the worm table, outside the
-    /// fold.
+    /// Finalizes statistics without running further cycles. Both
+    /// switching modes end in the one link fold: over every switch of the
+    /// reservation table, and over the touched switches of the queue
+    /// arena. Worms in flight are counted from the worm table, outside
+    /// the fold.
     pub fn finish(mut self) -> SimStats {
         self.fold()
     }
@@ -2561,16 +1982,6 @@ impl Simulator {
             }
             let res = &ws.reservations;
             self.stats.fold_links(res, size, 0..res.link_count() / 3);
-        } else if let Some(ev) = self.event.as_ref() {
-            let mut touched: Vec<usize> = ev
-                .active
-                .touched_queues()
-                .iter()
-                .map(|&q| q as usize / 3)
-                .collect();
-            touched.sort_unstable();
-            touched.dedup();
-            self.stats.fold_links(&ev.active, size, touched);
         } else {
             let touched = touched_switches(&self.touched, size.n());
             self.stats.fold_links(&self.queues, size, touched);
@@ -2789,6 +2200,21 @@ mod tests {
         // The largest representable run is still accepted.
         cfg.cycles = u32::MAX as usize;
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn flat_link_indices_must_fit_32_bits() {
+        // 3·N·n links: 2^25 switches per stage give 2.5e9 (fits), 2^26
+        // give 5.2e9 (does not). Only `validate` runs: nothing is built.
+        let mut cfg = config(8, 0.4, 100);
+        cfg.size = Size::new(1 << 25).unwrap();
+        assert!(cfg.validate().is_ok());
+        cfg.size = Size::new(1 << 26).unwrap();
+        let err = cfg.validate().unwrap_err();
+        assert!(
+            err.contains("32-bit flat indices"),
+            "unhelpful message: {err}"
+        );
     }
 
     #[test]
@@ -3679,47 +3105,34 @@ mod dchoice_convergence_tests {
         assert_eq!(stats.cycles, 1000);
     }
 
+    /// The engine's and the reference loop's statistics for a converging
+    /// run of `policy` at `load`, asserted byte-identical field by field.
+    fn converge_against_reference(policy: RoutingPolicy, load: f64, window: u64, tol: f64) {
+        let run = crate::reference::Run {
+            converge: Some((window, tol)),
+            ..crate::reference::Run::new(config(16, load, 20_000), policy)
+        };
+        let engine = run.simulator(&mut SimScratch::default());
+        assert!(
+            engine.converged_at_cycle > 0,
+            "{policy:?} at {load} never converged"
+        );
+        assert_eq!(format!("{engine:?}"), format!("{:?}", run.reference()));
+    }
+
     #[test]
     fn converged_runs_match_across_engines_byte_for_byte() {
-        // The clamped-jump contract: an early-stopped event-engine run
-        // must stop at the same boundary with the same statistics as the
-        // synchronous engine.
+        // An early-stopped run stops at the same boundary, with the same
+        // statistics, in the engine and in the dense reference loop.
         for load in [0.2, 0.6] {
-            let mut cfg = config(16, load, 20_000);
-            let sync = Simulator::new(cfg, RoutingPolicy::SsdtBalance, TrafficPattern::Uniform)
-                .with_convergence(200, 0.05)
-                .run();
-            cfg.engine = EngineKind::EventDriven;
-            let event = Simulator::new(cfg, RoutingPolicy::SsdtBalance, TrafficPattern::Uniform)
-                .with_convergence(200, 0.05)
-                .run();
-            assert_eq!(sync.converged_at_cycle, event.converged_at_cycle);
-            assert_eq!(sync.cycles, event.cycles);
-            assert_eq!(sync.delivered, event.delivered);
-            assert_eq!(sync.latency_sum, event.latency_sum);
-            assert_eq!(sync.in_flight, event.in_flight);
-            assert_eq!(
-                sync.queue_mean_occupancy.to_bits(),
-                event.queue_mean_occupancy.to_bits(),
-                "occupancy integrals diverged at load {load}"
-            );
+            converge_against_reference(RoutingPolicy::SsdtBalance, load, 200, 0.05);
         }
     }
 
     #[test]
     fn dchoice_matches_across_engines_with_convergence() {
-        let mut cfg = config(16, 0.5, 10_000);
         let policy = RoutingPolicy::DChoice { d: 2, sticky: true };
-        let sync = Simulator::new(cfg, policy, TrafficPattern::Uniform)
-            .with_convergence(100, 0.1)
-            .run();
-        cfg.engine = EngineKind::EventDriven;
-        let event = Simulator::new(cfg, policy, TrafficPattern::Uniform)
-            .with_convergence(100, 0.1)
-            .run();
-        assert_eq!(sync.converged_at_cycle, event.converged_at_cycle);
-        assert_eq!(sync.delivered, event.delivered);
-        assert_eq!(sync.latency_sum, event.latency_sum);
+        converge_against_reference(policy, 0.5, 100, 0.1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! A packet-switching simulator for the IADM network, with two
-//! interchangeable scheduling cores: the synchronous (cycle-driven)
-//! engine and an event-driven engine that skips idle work
-//! ([`EngineKind`]; both produce byte-identical statistics, enforced by
-//! `tests/equivalence.rs`).
+//! A cycle-synchronous packet-switching simulator for the IADM network.
+//! One engine drives every run; its statistics are checked against a
+//! dense reference loop compiled only into this crate's unit tests
+//! (DESIGN.md §9). [`EngineKind`] and [`LaneArbitration`] survive as
+//! record labels only: no code branches on either.
 //!
 //! The paper motivates the SSDT scheme's state choice as a *load balancing*
 //! device: "Assume that each nonstraight link has an associated buffer
@@ -49,10 +49,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod active;
 pub mod circuit;
 mod engine;
-mod event;
 mod packet;
 mod queue;
 mod scratch;
@@ -65,18 +63,21 @@ mod tags;
 pub use iadm_workload::histogram;
 
 pub use engine::{
-    run_once, EngineKind, LaneLedger, RoutingPolicy, SimConfig, Simulator, SwitchingMode,
+    run_once, EngineKind, LaneArbitration, LaneLedger, RoutingPolicy, SimConfig, Simulator,
+    SwitchingMode,
 };
 // Re-exported so campaign engines can prebuild shared route tables for
 // [`Simulator::with_shared_lut`] without depending on `iadm-core`.
-pub use event::{Event, EventQueue};
 pub use iadm_core::lut::RouteLut;
 pub use iadm_workload::{
     Adversarial, ClosedLoop, Collective, Injection, LatencyHistogram, OpenLoopSource,
     TrafficPattern, WorkloadSource, WorkloadSpec, WorkloadStats, NO_OP,
 };
 pub use packet::Packet;
-pub use queue::{LaneArbitration, QueueArena, ReservationTable};
+pub use queue::{QueueArena, ReservationTable};
 pub use scratch::SimScratch;
 pub use stats::SimStats;
 pub use tags::TagRepair;
+
+#[cfg(test)]
+mod reference;

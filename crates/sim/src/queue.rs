@@ -263,38 +263,19 @@ struct ResMeta {
     carried: u64,
 }
 
-/// How [`ReservationTable::reserve`] picks among a link's free lanes.
-///
-/// Lane choice is pure tie-breaking: every statistic the simulator
-/// reports is link-granular (held counts, carried flits, occupancy sums
-/// — see [`ResMeta`]), a grant happens iff `held < lanes` regardless of
-/// *which* lane is granted, and a worm's teardown releases whatever
-/// slots it holds. All three policies therefore produce byte-identical
-/// simulation statistics; `tests/lanes.rs` pins that invariance, and
-/// the conditional `"arbitration"` JSON field stays absent at the
-/// default so pre-existing artifacts and goldens are untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LaneArbitration {
-    /// Lowest-index free lane (the default; byte-exact to the engine
-    /// before arbitration was configurable).
-    #[default]
-    FirstFree,
-    /// Circular scan from a per-link cursor that advances past each
-    /// granted lane, spreading consecutive grants across lanes.
-    RoundRobin,
-    /// Free lane with the fewest cumulative grants (ties to the lowest
-    /// index) — wear-leveling across a link's lanes.
-    LeastHeld,
-}
-
 /// A wormhole reservation table layered over the same flat link indexing
 /// as [`QueueArena`]: each link owns `lanes` lane slots, and a worm's
 /// head claims one lane per traversed link, holding it until the tail
 /// passes (or the worm is killed). Where the arena buffers whole packets,
 /// the table records only *who holds what* — a lane slot stores the
-/// holding worm's id, and the per-link [`ResMeta`] keeps the same lazy
+/// holding worm's id, and a per-link record keeps the same lazy
 /// occupancy/high-water/carried statistics the store-and-forward path
 /// reports, so both switching modes share one statistics vocabulary.
+///
+/// A grant takes the lowest-index free lane. Which lane it takes is
+/// unobservable: every statistic is link-granular, a grant happens iff
+/// `held < lanes`, and a teardown releases whatever slots the worm
+/// holds.
 #[derive(Debug, Clone)]
 pub struct ReservationTable {
     lanes: usize,
@@ -305,14 +286,6 @@ pub struct ReservationTable {
     meta: Vec<ResMeta>,
     /// Shared sample counter (one tick per simulated cycle).
     samples: u64,
-    /// Which free lane a grant picks.
-    arb: LaneArbitration,
-    /// Per-link round-robin cursor (next lane to try); allocated only
-    /// under [`LaneArbitration::RoundRobin`].
-    cursor: Vec<u16>,
-    /// Per-lane-slot cumulative grant counts; allocated only under
-    /// [`LaneArbitration::LeastHeld`].
-    grants: Vec<u64>,
 }
 
 impl ReservationTable {
@@ -326,12 +299,6 @@ impl ReservationTable {
     /// Panics if `lanes == 0` or `lanes > u16::MAX` (held-lane counts are
     /// stored as `u16`).
     pub fn new(links: usize, lanes: usize) -> Self {
-        Self::with_arbitration(links, lanes, LaneArbitration::FirstFree)
-    }
-
-    /// Creates a table whose grants follow `arb` instead of the
-    /// first-free default. Same panics as [`ReservationTable::new`].
-    pub fn with_arbitration(links: usize, lanes: usize, arb: LaneArbitration) -> Self {
         assert!(lanes > 0, "a link needs at least one lane");
         assert!(
             lanes <= u16::MAX as usize,
@@ -342,26 +309,12 @@ impl ReservationTable {
             holder: vec![Self::FREE; links * lanes],
             meta: vec![ResMeta::default(); links],
             samples: 0,
-            arb,
-            cursor: match arb {
-                LaneArbitration::RoundRobin => vec![0; links],
-                _ => Vec::new(),
-            },
-            grants: match arb {
-                LaneArbitration::LeastHeld => vec![0; links * lanes],
-                _ => Vec::new(),
-            },
         }
     }
 
     /// Lanes per link.
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// The lane-arbitration policy grants follow.
-    pub fn arbitration(&self) -> LaneArbitration {
-        self.arb
     }
 
     /// Number of links in the table.
@@ -403,37 +356,10 @@ impl ReservationTable {
             return None;
         }
         let base = q * self.lanes;
-        let lane = match self.arb {
-            LaneArbitration::FirstFree => self.holder[base..base + self.lanes]
-                .iter()
-                .position(|&h| h == Self::FREE)
-                .expect("held < lanes implies a free lane"),
-            LaneArbitration::RoundRobin => {
-                let start = self.cursor[q] as usize;
-                let lane = (0..self.lanes)
-                    .map(|step| {
-                        let l = start + step;
-                        if l >= self.lanes {
-                            l - self.lanes
-                        } else {
-                            l
-                        }
-                    })
-                    .find(|&l| self.holder[base + l] == Self::FREE)
-                    .expect("held < lanes implies a free lane");
-                let next = lane + 1;
-                self.cursor[q] = if next == self.lanes { 0 } else { next } as u16;
-                lane
-            }
-            LaneArbitration::LeastHeld => {
-                let lane = (0..self.lanes)
-                    .filter(|&l| self.holder[base + l] == Self::FREE)
-                    .min_by_key(|&l| self.grants[base + l])
-                    .expect("held < lanes implies a free lane");
-                self.grants[base + lane] += 1;
-                lane
-            }
-        };
+        let lane = self.holder[base..base + self.lanes]
+            .iter()
+            .position(|&h| h == Self::FREE)
+            .expect("held < lanes implies a free lane");
         Self::flush_occupancy(meta, samples);
         meta.held += 1;
         meta.high_water = meta.high_water.max(meta.held);
@@ -473,15 +399,6 @@ impl ReservationTable {
     #[inline]
     pub fn tick(&mut self) {
         self.samples += 1;
-    }
-
-    /// Advances the sample counter by `span` cycles in one jump — the
-    /// event-driven engine's idle-span skip. Exactly equivalent to `span`
-    /// ticks: the lazy flush credits each lane's standing holder count
-    /// for the whole span on its next mutation.
-    #[inline]
-    pub fn fast_forward(&mut self, span: u64) {
-        self.samples += span;
     }
 
     /// Flits carried over link `q` so far.
@@ -716,167 +633,57 @@ mod tests {
         let _ = ReservationTable::new(1, 0);
     }
 
-    #[test]
-    fn reservation_round_robin_rotates_across_free_lanes() {
-        let mut t = ReservationTable::with_arbitration(1, 3, LaneArbitration::RoundRobin);
-        // Reserve-then-release repeatedly: first-free would reuse lane 0
-        // every time; the cursor walks 0, 1, 2, 0, ...
-        for expect in [0usize, 1, 2, 0, 1] {
-            let slot = t.reserve(0, 7).unwrap();
-            assert_eq!(slot, expect);
-            t.release(slot);
-        }
-    }
-
-    #[test]
-    fn reservation_round_robin_scans_past_held_lanes() {
-        let mut t = ReservationTable::with_arbitration(1, 3, LaneArbitration::RoundRobin);
-        let a = t.reserve(0, 1).unwrap(); // lane 0, cursor -> 1
-        let b = t.reserve(0, 2).unwrap(); // lane 1, cursor -> 2
-        assert_eq!((a, b), (0, 1));
-        t.release(a);
-        // Cursor points at lane 2 (free); lane 0 is also free but the
-        // circular scan starts at the cursor.
-        assert_eq!(t.reserve(0, 3), Some(2));
-        // Cursor wrapped to 0; lane 1 is still held, so the scan grants
-        // lane 0 and leaves the cursor on the held lane 1.
-        assert_eq!(t.reserve(0, 4), Some(0));
-        assert!(t.is_full(0));
-        assert_eq!(t.reserve(0, 5), None, "denials do not move the cursor");
-    }
-
-    #[test]
-    fn reservation_least_held_levels_grants_with_low_index_ties() {
-        let mut t = ReservationTable::with_arbitration(1, 3, LaneArbitration::LeastHeld);
-        let a = t.reserve(0, 1).unwrap(); // all at 0 grants: tie -> lane 0
-        assert_eq!(a, 0);
-        t.release(a);
-        // Lane 0 now has 1 grant; lanes 1 and 2 tie at 0 -> lane 1.
-        let b = t.reserve(0, 2).unwrap();
-        assert_eq!(b, 1);
-        // Lane 2 is the only lane at 0 grants, even though lane 0 is free.
-        assert_eq!(t.reserve(0, 3), Some(2));
-        // All lanes at 1 grant, only lane 0 free.
-        assert_eq!(t.reserve(0, 4), Some(0));
-        assert!(t.is_full(0));
-    }
-
-    /// The three arbitration policies under test.
-    const ARBS: [LaneArbitration; 3] = [
-        LaneArbitration::FirstFree,
-        LaneArbitration::RoundRobin,
-        LaneArbitration::LeastHeld,
-    ];
-
     iadm_check::check! {
         /// A random reserve/release workload never double-grants a lane,
-        /// never loses one, and keeps `held` equal to the occupied-slot
-        /// count — under every arbitration policy.
-        fn reservation_ledger_is_exact_under_any_arbitration(g; cases = 64) {
+        /// never loses one, grants the lowest free lane, and keeps `held`
+        /// equal to the occupied-slot count.
+        fn reservation_ledger_is_exact(g; cases = 64) {
             let links = g.usize_in(1..=4);
             let lanes = g.usize_in(1..=5);
             let ops = g.usize_in(0..=120);
-            for arb in ARBS {
-                let mut t = ReservationTable::with_arbitration(links, lanes, arb);
-                // Model: slot -> holding worm, mirrored from grant results.
-                let mut model = vec![ReservationTable::FREE; links * lanes];
-                for op in 0..ops {
-                    let q = g.usize_in(0..=links - 1);
-                    let held_slots: Vec<usize> = (0..links * lanes)
-                        .filter(|&s| model[s] != ReservationTable::FREE)
-                        .collect();
-                    if !held_slots.is_empty() && g.bool_with(0.45) {
-                        let slot = held_slots[g.usize_in(0..=held_slots.len() - 1)];
-                        t.release(slot);
-                        model[slot] = ReservationTable::FREE;
-                    } else {
-                        let worm = op as u32;
-                        match t.reserve(q, worm) {
-                            Some(slot) => {
-                                iadm_check::check_assert_eq!(slot / lanes, q);
-                                iadm_check::check_assert_eq!(
-                                    model[slot],
-                                    ReservationTable::FREE,
-                                    "granted an occupied lane under {arb:?}"
-                                );
-                                model[slot] = worm;
-                            }
-                            None => iadm_check::check_assert_eq!(
-                                (0..lanes).filter(|l| model[q * lanes + l] != ReservationTable::FREE).count(),
-                                lanes,
-                                "denied with a free lane under {arb:?}"
-                            ),
-                        }
-                    }
-                    for (slot, &want) in model.iter().enumerate() {
-                        iadm_check::check_assert_eq!(
-                            t.holder(slot),
-                            (want != ReservationTable::FREE).then_some(want)
-                        );
-                    }
-                    for q in 0..links {
-                        iadm_check::check_assert_eq!(
-                            t.held(q),
-                            (0..lanes).filter(|l| model[q * lanes + l] != ReservationTable::FREE).count()
-                        );
-                    }
-                }
-            }
-        }
-
-        /// Lane choice is pure tie-breaking: the same op sequence produces
-        /// the same grant/deny outcomes, held counts, and occupancy sums
-        /// under every arbitration policy — the table-level form of the
-        /// lane invariance the parity goldens rely on.
-        fn reservation_arbitrations_agree_on_every_outcome(g; cases = 64) {
-            let links = g.usize_in(1..=3);
-            let lanes = g.usize_in(1..=4);
-            let ops = g.usize_in(0..=100);
-            let mut tables: Vec<ReservationTable> = ARBS
-                .iter()
-                .map(|&arb| ReservationTable::with_arbitration(links, lanes, arb))
-                .collect();
-            // Per-table map from a grant's op index to the granted slot, so
-            // a release targets "the lane op K holds" in each table even
-            // though the physical lanes differ.
-            let mut grants: Vec<Vec<(usize, usize)>> = vec![Vec::new(); tables.len()];
+            let mut t = ReservationTable::new(links, lanes);
+            // Model: slot -> holding worm, mirrored from grant results.
+            let mut model = vec![ReservationTable::FREE; links * lanes];
             for op in 0..ops {
-                if g.bool_with(0.2) {
-                    for t in &mut tables {
-                        t.tick();
-                    }
-                    continue;
-                }
                 let q = g.usize_in(0..=links - 1);
-                if !grants[0].is_empty() && g.bool_with(0.45) {
-                    let pick = g.usize_in(0..=grants[0].len() - 1);
-                    for (t, granted) in tables.iter_mut().zip(&mut grants) {
-                        let (_, slot) = granted.swap_remove(pick);
-                        t.release(slot);
-                    }
+                let held_slots: Vec<usize> = (0..links * lanes)
+                    .filter(|&s| model[s] != ReservationTable::FREE)
+                    .collect();
+                if !held_slots.is_empty() && g.bool_with(0.45) {
+                    let slot = held_slots[g.usize_in(0..=held_slots.len() - 1)];
+                    t.release(slot);
+                    model[slot] = ReservationTable::FREE;
                 } else {
-                    let outcomes: Vec<Option<usize>> =
-                        tables.iter_mut().map(|t| t.reserve(q, op as u32)).collect();
-                    iadm_check::check_assert_eq!(
-                        outcomes.iter().map(|o| o.is_some()).collect::<Vec<_>>(),
-                        vec![outcomes[0].is_some(); outcomes.len()],
-                        "grant/deny diverged across arbitrations"
-                    );
-                    for (granted, outcome) in grants.iter_mut().zip(&outcomes) {
-                        if let Some(slot) = outcome {
-                            granted.push((op, *slot));
+                    let worm = op as u32;
+                    match t.reserve(q, worm) {
+                        Some(slot) => {
+                            iadm_check::check_assert_eq!(slot / lanes, q);
+                            iadm_check::check_assert_eq!(
+                                Some(slot),
+                                (q * lanes..(q + 1) * lanes)
+                                    .find(|&s| model[s] == ReservationTable::FREE),
+                                "granted other than the lowest free lane"
+                            );
+                            model[slot] = worm;
                         }
+                        None => iadm_check::check_assert_eq!(
+                            (0..lanes).filter(|l| model[q * lanes + l] != ReservationTable::FREE).count(),
+                            lanes,
+                            "denied with a free lane"
+                        ),
                     }
+                }
+                for (slot, &want) in model.iter().enumerate() {
+                    iadm_check::check_assert_eq!(
+                        t.holder(slot),
+                        (want != ReservationTable::FREE).then_some(want)
+                    );
                 }
                 for q in 0..links {
-                    let want = tables[0].held(q);
-                    let occ = tables[0].mean_occupancy(q);
-                    let high = tables[0].high_water(q);
-                    for t in &tables[1..] {
-                        iadm_check::check_assert_eq!(t.held(q), want);
-                        iadm_check::check_assert_eq!(t.high_water(q), high);
-                        iadm_check::check_assert!((t.mean_occupancy(q) - occ).abs() == 0.0);
-                    }
+                    iadm_check::check_assert_eq!(
+                        t.held(q),
+                        (0..lanes).filter(|l| model[q * lanes + l] != ReservationTable::FREE).count()
+                    );
                 }
             }
         }

@@ -24,9 +24,9 @@ use std::collections::VecDeque;
 ///
 /// A worker holds its scratch between runs, so a run keeps only the
 /// buffers it uses: one that never reads the tag cache, keeps no outage
-/// clocks, no sticky memory or no flat arena (the event engine, wormhole
-/// switching) releases them, and a source queue that grew past a small
-/// allocation is freed at the end of the run. What a worker holds is
+/// clocks, no sticky memory or no flat arena (wormhole switching)
+/// releases them, and a source queue that grew past a small allocation
+/// is freed at the end of the run. What a worker holds is
 /// then what the run in progress would have allocated anyway.
 ///
 /// [`Simulator::run_into`]: crate::Simulator::run_into
@@ -65,9 +65,8 @@ const KEPT_SOURCE_SLOTS: usize = 4;
 
 /// What a run needs sized, beyond its network size.
 pub(crate) struct Needs {
-    /// Queue capacity, when the run buffers packets in the flat arena
-    /// (the synchronous store-and-forward engine).
-    pub(crate) arena: Option<usize>,
+    /// Capacity of each link queue of the flat arena.
+    pub(crate) capacity: usize,
     /// The run has a fault timeline (outage clocks are kept).
     pub(crate) dynamic: bool,
     /// Timeline events (the tag cache's epoch budget).
@@ -84,12 +83,7 @@ impl SimScratch {
     pub(crate) fn prepare(&mut self, size: Size, needs: &Needs) {
         let (n, stages) = (size.n(), size.stages());
         let words = n.div_ceil(64);
-        // A buffer this run does not use is released rather than held
-        // through it.
-        match needs.arena {
-            Some(capacity) => self.queues.prepare(Link::slot_count(size), capacity),
-            None => self.queues = QueueArena::default(),
-        }
+        self.queues.prepare(Link::slot_count(size), needs.capacity);
         fit(&mut self.switch_load, stages * n, 0);
         fit(&mut self.switch_bits, stages * words, 0);
         fit(&mut self.touched, stages * words, 0);
@@ -99,6 +93,8 @@ impl SimScratch {
         self.source_queues.resize_with(n, VecDeque::new);
         fit(&mut self.source_bits, words, 0);
         self.tag_cache.prepare(size, needs.events, needs.tags);
+        // A buffer this run does not use is released rather than held
+        // through it.
         if needs.dynamic {
             let slots = Link::slot_count(size);
             fit(&mut self.down_since, slots, u64::MAX);

@@ -4,6 +4,8 @@
 
 #![allow(dead_code)]
 
+pub mod goldens;
+
 use iadm_sim::{LaneLedger, RoutingPolicy, SimStats, Simulator};
 
 /// Every routing policy, in the order the suites sweep them.

@@ -11,9 +11,9 @@
 //!    behavior these constants must be regenerated deliberately — never
 //!    adjusted to make a refactor pass.
 //!
-//! 2. **Engine-independence** — the event-driven engine, which schedules
-//!    response-triggered injections as discrete events instead of
-//!    polling every cycle, must reproduce each golden byte for byte.
+//! 2. **Goldens in one place** — the strings live in
+//!    `tests/util/goldens.rs`, which the crate's test-only reference loop
+//!    reproduces too.
 //!
 //! A differential test additionally pins the *inline* open-loop
 //! arrivals path (the one all 16 pre-workload parity goldens run
@@ -26,14 +26,12 @@ use iadm_sim::{
 };
 use iadm_topology::Size;
 
+mod util;
+use util::goldens::*;
+
 /// The workload RNG stream the goldens were captured under (arbitrary,
 /// fixed; the sweep layer derives its own stream per run).
 const WORKLOAD_SEED: u64 = 0xBEEF;
-
-const GOLDEN_REQUEST_RESPONSE: &str = r#"{"injected":986,"delivered":976,"misrouted":0,"dropped":0,"refused":0,"in_flight":10,"latency_sum":4500,"latency_count":735,"latency_max":8,"queue_high_water":2,"queue_mean_occupancy":0.03492187499999997,"cycles":600,"ports":16,"nonstraight_imbalance":0.016046126651660577,"max_link_load":42,"mean_latency":6.122448979591836,"throughput":0.10166666666666667,"latency_p50":7,"latency_p95":7,"latency_p99":8,"latency_buckets":[0,0,725,10],"stage_link_use":[980,979,978,976],"requests_issued":497,"requests_completed":487,"requests_aborted":0,"requests_live":10,"request_latency_sum":4105,"request_latency_count":365,"request_latency_max":14,"request_latency_mean":11.246575342465754,"request_latency_p50":14,"request_latency_p95":14,"request_latency_p99":14,"request_latency_buckets":[0,0,0,365]}"#;
-const GOLDEN_FLOW: &str = r#"{"injected":780,"delivered":777,"misrouted":0,"dropped":0,"refused":0,"in_flight":3,"latency_sum":4094,"latency_count":567,"latency_max":12,"queue_high_water":3,"queue_mean_occupancy":0.02861979166666666,"cycles":600,"ports":16,"nonstraight_imbalance":0.04009597971177647,"max_link_load":66,"mean_latency":7.220458553791887,"throughput":0.0809375,"latency_p50":7,"latency_p95":12,"latency_p99":12,"latency_buckets":[0,0,343,224],"stage_link_use":[777,777,777,777],"requests_issued":260,"requests_completed":259,"requests_aborted":0,"requests_live":1,"request_latency_sum":1574,"request_latency_count":189,"request_latency_max":12,"request_latency_mean":8.328042328042327,"request_latency_p50":12,"request_latency_p95":12,"request_latency_p99":12,"request_latency_buckets":[0,0,0,189]}"#;
-const GOLDEN_ALLREDUCE: &str = r#"{"injected":1840,"delivered":1824,"misrouted":0,"dropped":0,"refused":0,"in_flight":16,"latency_sum":8064,"latency_count":1344,"latency_max":6,"queue_high_water":1,"queue_mean_occupancy":0.06374999999999995,"cycles":600,"ports":16,"nonstraight_imbalance":0.012843906993871486,"max_link_load":100,"mean_latency":6,"throughput":0.19,"latency_p50":6,"latency_p95":6,"latency_p99":6,"latency_buckets":[0,0,1344],"stage_link_use":[1840,1840,1824,1824],"requests_issued":4,"requests_completed":3,"requests_aborted":0,"requests_live":1,"request_latency_sum":302,"request_latency_count":2,"request_latency_max":151,"request_latency_mean":151,"request_latency_p50":151,"request_latency_p95":151,"request_latency_p99":151,"request_latency_buckets":[0,0,0,0,0,0,0,2]}"#;
-const GOLDEN_ADVERSARIAL: &str = r#"{"injected":3846,"delivered":3805,"misrouted":0,"dropped":0,"refused":0,"in_flight":41,"latency_sum":24454,"latency_count":2851,"latency_max":67,"queue_high_water":4,"queue_mean_occupancy":0.21496527777777794,"cycles":600,"ports":16,"nonstraight_imbalance":0.11217195895352113,"max_link_load":166,"mean_latency":8.577341283760084,"throughput":0.3963541666666667,"latency_p50":7,"latency_p95":31,"latency_p99":31,"latency_buckets":[0,0,1607,1077,154,12,1],"stage_link_use":[3832,3819,3812,3805]}"#;
 
 /// The four pinned workloads: `(name, spec label, expected JSON)`.
 fn goldens() -> [(&'static str, WorkloadSpec, &'static str); 4] {
@@ -76,7 +74,7 @@ fn goldens() -> [(&'static str, WorkloadSpec, &'static str); 4] {
     ]
 }
 
-fn config(engine: EngineKind) -> SimConfig {
+fn config() -> SimConfig {
     SimConfig {
         size: Size::new(16).unwrap(),
         queue_capacity: 4,
@@ -84,13 +82,13 @@ fn config(engine: EngineKind) -> SimConfig {
         warmup: 150,
         offered_load: 0.0,
         seed: 0xC10C,
-        engine,
+        engine: EngineKind::Synchronous,
     }
 }
 
-fn run(spec: &WorkloadSpec, engine: EngineKind) -> String {
+fn run(spec: &WorkloadSpec) -> String {
     let stats = Simulator::new(
-        config(engine),
+        config(),
         RoutingPolicy::SsdtBalance,
         TrafficPattern::Uniform,
     )
@@ -102,39 +100,25 @@ fn run(spec: &WorkloadSpec, engine: EngineKind) -> String {
 #[test]
 fn request_response_matches_golden() {
     let (name, spec, golden) = &goldens()[0];
-    assert_eq!(run(spec, EngineKind::Synchronous), *golden, "{name}");
+    assert_eq!(run(spec), *golden, "{name}");
 }
 
 #[test]
 fn flow_matches_golden() {
     let (name, spec, golden) = &goldens()[1];
-    assert_eq!(run(spec, EngineKind::Synchronous), *golden, "{name}");
+    assert_eq!(run(spec), *golden, "{name}");
 }
 
 #[test]
 fn allreduce_matches_golden() {
     let (name, spec, golden) = &goldens()[2];
-    assert_eq!(run(spec, EngineKind::Synchronous), *golden, "{name}");
+    assert_eq!(run(spec), *golden, "{name}");
 }
 
 #[test]
 fn adversarial_matches_golden() {
     let (name, spec, golden) = &goldens()[3];
-    assert_eq!(run(spec, EngineKind::Synchronous), *golden, "{name}");
-}
-
-#[test]
-fn event_engine_reproduces_every_workload_golden() {
-    // Response-triggered injections ride the event queue instead of a
-    // per-cycle poll, yet every statistic — including each request
-    // latency — must land on the same bytes as the synchronous engine.
-    for (name, spec, golden) in goldens() {
-        assert_eq!(
-            run(&spec, EngineKind::EventDriven),
-            golden,
-            "{name} diverged under the event engine"
-        );
-    }
+    assert_eq!(run(spec), *golden, "{name}");
 }
 
 #[test]
@@ -153,14 +137,14 @@ fn goldens_carry_the_closed_loop_ledger_where_expected() {
 
 #[test]
 fn open_loop_source_is_byte_identical_to_the_inline_arrivals_path() {
-    // The pre-workload parity goldens all run through the engines'
+    // The pre-workload parity goldens all run through the engine's
     // *inline* Bernoulli arrivals. `OpenLoopSource` is the pluggable
     // spelling of the same process: seeded with the engine's own seed it
     // performs the identical draw sequence (per-source `gen_bool`, then
     // a destination draw), so under a policy that consumes no RNG of its
     // own the two paths must agree byte for byte.
     for load in [0.2, 0.45] {
-        let mut config = config(EngineKind::Synchronous);
+        let mut config = config();
         config.offered_load = load;
         let inline = Simulator::new(config, RoutingPolicy::FixedC, TrafficPattern::Uniform).run();
 
@@ -188,7 +172,7 @@ fn open_loop_spec_builds_to_the_inline_path() {
     // builder returns the simulator untouched, so the run is the inline
     // path (not a trait-object detour), which is what keeps all 16
     // pre-workload parity goldens byte-identical by construction.
-    let mut config = config(EngineKind::Synchronous);
+    let mut config = config();
     config.offered_load = 0.45;
     let plain = Simulator::new(config, RoutingPolicy::SsdtBalance, TrafficPattern::Uniform).run();
     let via_spec = Simulator::new(config, RoutingPolicy::SsdtBalance, TrafficPattern::Uniform)

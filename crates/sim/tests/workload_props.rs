@@ -28,7 +28,6 @@ const ALL_POLICIES: [RoutingPolicy; 4] = [
 fn run_closed_loop(
     size: Size,
     policy: RoutingPolicy,
-    engine: EngineKind,
     spec: &WorkloadSpec,
     cycles: usize,
     (mtbf, mttr): (u64, u64),
@@ -41,7 +40,7 @@ fn run_closed_loop(
         warmup: cycles / 5,
         offered_load: 0.0,
         seed,
-        engine,
+        engine: EngineKind::Synchronous,
     };
     let timeline = iadm_fault::FaultTimeline::mtbf(size, seed ^ 0x71ED, mtbf, mttr, cycles as u64);
     Simulator::with_fault_timeline(
@@ -57,7 +56,7 @@ fn run_closed_loop(
 
 #[test]
 fn request_response_conserves_under_churn_for_every_policy() {
-    // The deterministic grid: all four policies, both engines, harsh
+    // The deterministic grid: all four policies, harsh
     // churn (MTBF 80 / MTTR 30 on a 400-cycle horizon ⇒ many outages).
     let size = Size::new(16).unwrap();
     let spec = WorkloadSpec::RequestResponse {
@@ -67,37 +66,31 @@ fn request_response_conserves_under_churn_for_every_policy() {
         resp: 1,
     };
     for policy in ALL_POLICIES {
-        for engine in [EngineKind::Synchronous, EngineKind::EventDriven] {
-            let stats = run_closed_loop(size, policy, engine, &spec, 400, (80, 30), 0xAB0);
-            assert!(stats.fault_events > 0, "{policy:?}: churn never fired");
-            assert!(stats.workload.issued > 0, "{policy:?}: no requests issued");
+        let stats = run_closed_loop(size, policy, &spec, 400, (80, 30), 0xAB0);
+        assert!(stats.fault_events > 0, "{policy:?}: churn never fired");
+        assert!(stats.workload.issued > 0, "{policy:?}: no requests issued");
+        assert!(stats.is_conserved(), "{policy:?} lost packets: {stats:?}");
+        assert!(
+            stats.workload.is_conserved(),
+            "{policy:?} stranded requests: {:?}",
+            stats.workload
+        );
+        assert_eq!(stats.misrouted, 0, "{policy:?}");
+        if policy != RoutingPolicy::TsdtSender {
+            // Packets died mid-network under this churn level, so the
+            // abort path demonstrably ran (TSDT refuses at the source
+            // instead, which never creates an op to abort).
             assert!(
-                stats.is_conserved(),
-                "{policy:?}/{engine:?} lost packets: {stats:?}"
+                stats.dropped > 0,
+                "{policy:?}: churn regime too gentle to test aborts"
             );
-            assert!(
-                stats.workload.is_conserved(),
-                "{policy:?}/{engine:?} stranded requests: {:?}",
-                stats.workload
-            );
-            assert_eq!(stats.misrouted, 0, "{policy:?}/{engine:?}");
-            if policy != RoutingPolicy::TsdtSender {
-                // Packets died mid-network under this churn level, so the
-                // abort path demonstrably ran (TSDT refuses at the source
-                // instead, which never creates an op to abort).
-                assert!(
-                    stats.dropped > 0,
-                    "{policy:?}/{engine:?}: churn regime too gentle to test aborts"
-                );
-            }
         }
     }
 }
 
 iadm_check::check! {
     /// Randomized sweep of the same contract: any client population,
-    /// think time, request/response shape, churn rate, policy, and
-    /// engine — both ledgers must still balance and no client may be
+    /// think time, request/response shape, churn rate and policy — both ledgers must still balance and no client may be
     /// stranded. Failures shrink toward a minimal configuration.
     fn closed_loop_ledgers_balance_for_random_configs(g; cases = 48) {
         let size = Size::from_stages(g.u32_in(2..=4));
@@ -109,22 +102,17 @@ iadm_check::check! {
             resp: g.u32_in(1..=3),
         };
         let policy = ALL_POLICIES[g.usize_in(0..=3)];
-        let engine = if g.bool_with(0.5) {
-            EngineKind::Synchronous
-        } else {
-            EngineKind::EventDriven
-        };
         let mtbf = g.usize_in(30..=200) as u64;
         let mttr = g.usize_in(10..=60) as u64;
         let seed = g.u64_any();
-        let stats = run_closed_loop(size, policy, engine, &spec, cycles, (mtbf, mttr), seed);
+        let stats = run_closed_loop(size, policy, &spec, cycles, (mtbf, mttr), seed);
         iadm_check::check_assert!(
             stats.is_conserved(),
-            "packet ledger broke: {policy:?} {engine:?} {spec:?} {stats:?}"
+            "packet ledger broke: {policy:?} {spec:?} {stats:?}"
         );
         iadm_check::check_assert!(
             stats.workload.is_conserved(),
-            "request ledger broke: {policy:?} {engine:?} {spec:?} {:?}",
+            "request ledger broke: {policy:?} {spec:?} {:?}",
             stats.workload
         );
         iadm_check::check_assert_eq!(stats.misrouted, 0);

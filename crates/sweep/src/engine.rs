@@ -21,7 +21,7 @@
 
 use crate::spec::{RunSpec, SweepSpec};
 use iadm_fault::BlockageMap;
-use iadm_sim::{RouteLut, SimConfig, SimScratch, SimStats, Simulator};
+use iadm_sim::{EngineKind, RouteLut, SimConfig, SimScratch, SimStats, Simulator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -110,7 +110,8 @@ impl RunSpec {
     /// built. The transient timeline seeds from
     /// `mix(seed, TIMELINE_SEED_STREAM)`, a closed-loop workload from
     /// `mix(seed, WORKLOAD_SEED_STREAM)` and the traffic from `seed`, so
-    /// the run is fully determined by the spec and its bases.
+    /// the run is fully determined by the spec and its bases. The engine
+    /// and lane-arbitration labels are not passed on: nothing reads them.
     ///
     /// The simulator takes its buffers from `scratch`
     /// ([`Simulator::with_scratch`]); a worker that runs many grid points
@@ -130,7 +131,7 @@ impl RunSpec {
             warmup: self.warmup,
             offered_load: self.offered_load,
             seed: self.seed,
-            engine: self.engine,
+            engine: EngineKind::default(),
         };
         let sim = Simulator::with_scratch(
             scratch,
@@ -142,7 +143,6 @@ impl RunSpec {
             timeline,
         )
         .with_switching_mode(self.mode)
-        .with_lane_arbitration(self.arbitration)
         .with_tag_repair(self.tag_repair)
         .with_workload(
             &self.workload,
@@ -516,8 +516,8 @@ mod tests {
 
     #[test]
     fn event_engine_runs_match_synchronous_runs_exactly() {
-        // The sweep-level face of the equivalence contract: the same
-        // campaign on the other engine produces identical statistics.
+        // The same campaign under the `event` engine label produces
+        // identical statistics: the label is recorded, never read.
         let mut spec = SweepSpec::smoke();
         spec.scenarios
             .push(iadm_fault::scenario::ScenarioSpec::Mtbf { mtbf: 60, mttr: 20 });

@@ -18,10 +18,10 @@
 //!    `S` simulates with seed `splitmix64_mix(S, i)` (and realizes its
 //!    randomized fault scenario from a further derivation of that run
 //!    seed), so no run ever observes another run's RNG draws — or the
-//!    scheduling order of the workers. The engine coordinate is factored
-//!    out of `i` before mixing: runs differing only in engine share a
-//!    realization, so the engine axis compares wall clocks, never
-//!    statistics.
+//!    scheduling order of the workers. The engine and lane-arbitration
+//!    label coordinates are factored out of `i` before mixing: runs
+//!    differing only in those labels share a realization, and since no
+//!    code reads either label they are the same run.
 //! 2. *Ordered aggregation.* Workers return `(run_index, faults, stats)`
 //!    triples; the collector re-orders them by run index before any
 //!    aggregation or encoding, so the JSON writer sees the same sequence
@@ -70,10 +70,9 @@ pub use engine::{
 };
 pub use report::{campaign_json, pivot_table, summary_table};
 pub use spec::{
-    arbitration_label, converge_label, engine_label, mode_label, parse_arbitration, parse_converge,
-    parse_engine, parse_loads, parse_mode, parse_pattern, parse_policy, parse_scenario,
-    parse_tag_repair, pattern_label, policy_label, tag_repair_label, validate_scenario, RunSpec,
-    SweepSpec,
+    arbitration_label, converge_label, engine_label, mode_label, parse_converge, parse_loads,
+    parse_mode, parse_pattern, parse_policy, parse_scenario, parse_tag_repair, pattern_label,
+    policy_label, tag_repair_label, validate_scenario, RunSpec, SweepSpec,
 };
 pub use stream::{
     artifact_prefix, journal_header, merge_fragments, parse_journal, shard_range, stream_campaign,

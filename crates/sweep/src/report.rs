@@ -61,8 +61,8 @@ pub(crate) fn run_json(spec: &RunSpec, faults: usize, stats: &SimStats) -> Json 
     if spec.tag_repair != TagRepair::Aware {
         fields.push(("tag_repair", Json::from(tag_repair_label(spec.tag_repair))));
     }
-    // Likewise synchronous runs omit the engine field, keeping every
-    // pre-event-engine artifact byte-identical.
+    // Likewise `sync`-labelled runs omit the engine field, keeping every
+    // artifact without the engine axis byte-identical.
     if spec.engine != EngineKind::Synchronous {
         fields.push(("engine", Json::from(engine_label(spec.engine))));
     }

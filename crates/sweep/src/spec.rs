@@ -29,13 +29,10 @@ pub struct SweepSpec {
     /// adversarial sources). Closed workloads own injection, so they may
     /// only be crossed with `loads = [0.0]` and store-and-forward modes.
     pub workloads: Vec<WorkloadSpec>,
-    /// Wormhole lane-arbitration policies. Statistics are lane-invariant
-    /// (every counter is link-granular — see
-    /// [`iadm_sim::LaneArbitration`]), so like `engines` this axis pins
-    /// an equivalence rather than re-seeding realizations: runs that
-    /// differ only in arbitration share a seed and must agree
-    /// byte-for-byte on every statistic. Inert for store-and-forward
-    /// modes.
+    /// Lane-arbitration labels ([`iadm_sim::LaneArbitration`]). A label
+    /// only: the engine never reads it, so runs that differ only in it
+    /// share a seed and give byte-identical statistics. E20's preset
+    /// still crosses all three.
     pub arbitrations: Vec<LaneArbitration>,
     /// TSDT tag-cache repair reactions ([`iadm_sim::TagRepair`]): aware
     /// senders re-tag affected pairs as soon as a link repair lands,
@@ -44,10 +41,9 @@ pub struct SweepSpec {
     /// *identical* fault timeline — the recovery comparison is
     /// apples-to-apples. Inert for every policy but `tsdt`.
     pub tag_repairs: Vec<TagRepair>,
-    /// Scheduling engines (synchronous and/or event-driven). Statistics
-    /// are engine-independent and the two run at the same low-load rate,
-    /// so this axis is for differential testing: runs that differ only
-    /// in engine share a seed and must agree byte-for-byte.
+    /// Engine labels ([`iadm_sim::EngineKind`]). A label only: there is
+    /// one engine, so runs that differ only in it share a seed and give
+    /// byte-identical statistics. E17's preset still crosses both.
     pub engines: Vec<EngineKind>,
     /// Fault scenarios.
     pub scenarios: Vec<ScenarioSpec>,
@@ -92,11 +88,11 @@ pub struct RunSpec {
     pub mode: SwitchingMode,
     /// Workload.
     pub workload: WorkloadSpec,
-    /// Wormhole lane-arbitration policy.
+    /// Lane-arbitration label (recorded, never read by the engine).
     pub arbitration: LaneArbitration,
     /// TSDT tag-cache repair reaction.
     pub tag_repair: TagRepair,
-    /// Scheduling engine.
+    /// Engine label (recorded, never read by the engine).
     pub engine: EngineKind,
     /// Fault scenario recipe.
     pub scenario: ScenarioSpec,
@@ -110,9 +106,9 @@ pub struct RunSpec {
     /// Derived simulation seed: `mix(campaign_seed, index)` with the
     /// arbitration, tag-repair, and engine coordinates factored out of
     /// the index, so runs that differ only in those axes share a
-    /// realization (engines and arbitrations must then agree
-    /// byte-for-byte on every statistic; an aware/blind tag-repair pair
-    /// churns through the identical fault timeline).
+    /// realization (engine and arbitration labels then give
+    /// byte-identical statistics; an aware/blind tag-repair pair churns
+    /// through the identical fault timeline).
     pub seed: u64,
 }
 
@@ -213,23 +209,6 @@ impl SweepSpec {
                 ));
             }
         }
-        for &mode in &self.modes {
-            if let SwitchingMode::Wormhole { flits, lanes } = mode {
-                if flits == 0 {
-                    return Err("wormhole mode needs at least one flit per packet".into());
-                }
-                if lanes == 0 {
-                    return Err("wormhole mode needs at least one lane per link".into());
-                }
-                if lanes > u32::from(u16::MAX) {
-                    return Err(format!(
-                        "wormhole mode: {lanes} lanes per link exceeds the reservation \
-                         table's u16 lane counters (max {})",
-                        u16::MAX
-                    ));
-                }
-            }
-        }
         // The grid is cartesian, so a closed workload anywhere on the
         // workload axis is crossed with *every* load and mode — reject
         // up front rather than panicking mid-campaign.
@@ -246,6 +225,9 @@ impl SweepSpec {
         let mut runs = Vec::with_capacity(self.grid_len());
         for &n in &self.sizes {
             let size = Size::new(n).map_err(|e| e.to_string())?;
+            for mode in &self.modes {
+                mode.validate(size)?;
+            }
             for scenario in &self.scenarios {
                 validate_scenario(scenario, size)?;
             }
@@ -289,10 +271,9 @@ impl SweepSpec {
                                                     let index = runs.len();
                                                     // Seed derivation skips the arbitration,
                                                     // tag-repair, and engine coordinates:
-                                                    // engines and arbitrations must agree
-                                                    // byte-for-byte on every statistic (the
-                                                    // equivalence and lane-invariance
-                                                    // contracts), and an aware/blind
+                                                    // engine and arbitration labels are never
+                                                    // read, so their runs must be the same
+                                                    // realization, and an aware/blind
                                                     // tag-repair pair must churn through the
                                                     // identical fault timeline for its
                                                     // recovery comparison to mean anything —
@@ -497,13 +478,12 @@ impl SweepSpec {
         }
     }
 
-    /// Experiment E17: synchronous vs event-driven engine at low load and
-    /// large N — the regime where the synchronous engine pays O(network)
-    /// per cycle for nearly-idle hardware. Two sizes × two low loads ×
-    /// two policies × both engines, healthy and under gentle churn (32
-    /// runs). The statistics must pair up byte-identically across the
-    /// engine axis (the equivalence contract); the interesting output is
-    /// the wall-clock difference, measured separately by `simbench`.
+    /// Experiment E17: low load at large N. Two sizes × two low loads ×
+    /// two policies × both engine labels, healthy and under gentle churn
+    /// (32 runs). The engine axis dates from the deleted event-driven
+    /// engine and is now a label: its `event` runs are their `sync`
+    /// twins, kept so `results/e17_campaign.json` regenerates byte for
+    /// byte until the next data epoch.
     pub fn e17() -> SweepSpec {
         SweepSpec {
             name: "e17".into(),
@@ -643,7 +623,7 @@ impl SweepSpec {
     /// Experiment E20: the multi-lane wormhole frontier and repair-aware
     /// recovery. TSDT worms at loads 0.3 (under-saturated, where every
     /// stale refusal costs a delivery) and 0.9 (the saturation frontier),
-    /// flits {2, 4, 8} × lanes {1, 2, 4}, every lane arbitration, two
+    /// flits {2, 4, 8} × lanes {1, 2, 4}, every lane-arbitration label, two
     /// buffer depths (documented inert in wormhole mode — the axis pins
     /// that), healthy plus two repair climates at a fixed failure rate
     /// (MTBF 60000 per link, MTTR 150 vs 900 — the availability-SLO
@@ -654,10 +634,11 @@ impl SweepSpec {
     /// from blind), and the aware/blind tag-repair pair over identical
     /// timelines (1080 runs).
     /// Measures how the lane count lifts the E16 single-lane throughput
-    /// ceiling (~0.123–0.150 delivered/port/cycle), pins arbitration
-    /// lane-invariance campaign-wide, and quantifies how much faster
-    /// repair-aware senders recover delivered throughput than
-    /// epoch-turnover senders.
+    /// ceiling (~0.123–0.150 delivered/port/cycle) and quantifies how
+    /// much faster repair-aware senders recover delivered throughput than
+    /// epoch-turnover senders. The arbitration labels no longer change
+    /// the engine; they stay so `results/e20_campaign.json` regenerates
+    /// byte for byte until the next data epoch.
     pub fn e20() -> SweepSpec {
         SweepSpec {
             name: "e20".into(),
@@ -1026,26 +1007,13 @@ pub fn parse_mode(text: &str) -> Result<SwitchingMode, String> {
     ))
 }
 
-/// The stable label of a lane-arbitration policy (also the spelling
-/// `parse_arbitration` accepts): `first-free | round-robin | least-held`.
+/// The stable label of a lane-arbitration label value, as E20's records
+/// spell it: `first-free | round-robin | least-held`.
 pub fn arbitration_label(arb: LaneArbitration) -> &'static str {
     match arb {
         LaneArbitration::FirstFree => "first-free",
         LaneArbitration::RoundRobin => "round-robin",
         LaneArbitration::LeastHeld => "least-held",
-    }
-}
-
-/// Parses a lane-arbitration label (`first-free | round-robin |
-/// least-held`).
-pub fn parse_arbitration(text: &str) -> Result<LaneArbitration, String> {
-    match text {
-        "first-free" => Ok(LaneArbitration::FirstFree),
-        "round-robin" => Ok(LaneArbitration::RoundRobin),
-        "least-held" => Ok(LaneArbitration::LeastHeld),
-        other => Err(format!(
-            "unknown lane arbitration {other} (first-free, round-robin, least-held)"
-        )),
     }
 }
 
@@ -1067,21 +1035,12 @@ pub fn parse_tag_repair(text: &str) -> Result<TagRepair, String> {
     }
 }
 
-/// The stable label of a scheduling engine (also the spelling
-/// `parse_engine` accepts): `sync` or `event`.
+/// The stable label of an engine label value, as E17's records spell
+/// it: `sync` or `event`.
 pub fn engine_label(engine: EngineKind) -> &'static str {
     match engine {
         EngineKind::Synchronous => "sync",
         EngineKind::EventDriven => "event",
-    }
-}
-
-/// Parses an engine label (`sync | event`).
-pub fn parse_engine(text: &str) -> Result<EngineKind, String> {
-    match text {
-        "sync" => Ok(EngineKind::Synchronous),
-        "event" => Ok(EngineKind::EventDriven),
-        other => Err(format!("unknown engine {other} (sync, event)")),
     }
 }
 
@@ -1377,15 +1336,36 @@ mod tests {
     }
 
     #[test]
-    fn arbitration_and_tag_repair_labels_round_trip() {
-        for arb in [
-            LaneArbitration::FirstFree,
-            LaneArbitration::RoundRobin,
-            LaneArbitration::LeastHeld,
-        ] {
-            assert_eq!(parse_arbitration(arbitration_label(arb)).unwrap(), arb);
-        }
-        assert!(parse_arbitration("lottery").is_err());
+    fn wormhole_lane_slots_must_fit_32_bits() {
+        // 3·N·n·lanes lane slots at 65535 lanes: 2.0e9 at N = 1024
+        // (fits), 9.7e9 at N = 4096 (does not). Only `expand` runs.
+        let mut spec = SweepSpec {
+            modes: vec![SwitchingMode::Wormhole {
+                flits: 4,
+                lanes: 65535,
+            }],
+            sizes: vec![1024],
+            ..SweepSpec::default()
+        };
+        assert!(spec.expand().is_ok());
+        spec.sizes = vec![4096];
+        let err = spec.expand().unwrap_err();
+        assert!(err.contains("lane slots"), "unhelpful message: {err}");
+    }
+
+    #[test]
+    fn networks_too_large_for_32_bit_link_indices_are_rejected() {
+        let mut spec = SweepSpec {
+            sizes: vec![1 << 25],
+            ..SweepSpec::default()
+        };
+        assert!(spec.expand().is_ok());
+        spec.sizes = vec![1 << 26];
+        assert!(spec.expand().is_err());
+    }
+
+    #[test]
+    fn tag_repair_labels_round_trip() {
         for repair in [TagRepair::Aware, TagRepair::Blind] {
             assert_eq!(parse_tag_repair(tag_repair_label(repair)).unwrap(), repair);
         }
@@ -1484,11 +1464,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_labels_round_trip() {
-        for engine in [EngineKind::Synchronous, EngineKind::EventDriven] {
-            assert_eq!(parse_engine(engine_label(engine)).unwrap(), engine);
-        }
-        assert!(parse_engine("warp").is_err());
+    fn engine_and_arbitration_labels_are_the_recorded_spellings() {
+        // The strings the checked-in E17 and E20 artifacts carry.
+        assert_eq!(engine_label(EngineKind::Synchronous), "sync");
+        assert_eq!(engine_label(EngineKind::EventDriven), "event");
+        assert_eq!(arbitration_label(LaneArbitration::FirstFree), "first-free");
+        assert_eq!(
+            arbitration_label(LaneArbitration::RoundRobin),
+            "round-robin"
+        );
+        assert_eq!(arbitration_label(LaneArbitration::LeastHeld), "least-held");
     }
 
     #[test]

@@ -13,14 +13,14 @@ use iadm_sweep::{campaign_json, run_campaign, SweepSpec};
 /// A campaign just big and heterogeneous enough that worker scheduling
 /// *would* scramble results if aggregation were unordered: three policies,
 /// static *and* transient fault scenarios, two switching modes, both
-/// scheduling engines, two loads, two sizes. The mtbf axis makes this the
+/// engine labels, two loads, two sizes. The mtbf axis makes this the
 /// contract for the whole timeline pipeline: per-run schedule realization,
 /// online LUT repair, and the degradation counters all have to land
 /// byte-identically at any thread count — the wormhole mode axis extends
-/// the contract to reservation state and worm teardown under churn, the
-/// arbitration and tag-repair axes to multi-lane grant bookkeeping and
-/// repair-triggered cache invalidation, and the engine axis to the
-/// event-driven scheduling core.
+/// the contract to reservation state and worm teardown under churn, and
+/// the tag-repair axis to repair-triggered cache invalidation. The
+/// arbitration and engine axes are labels the engine never reads; they
+/// stay in the grid to pin that their runs are the same runs.
 fn contract_spec() -> SweepSpec {
     SweepSpec {
         name: "determinism-contract".into(),
@@ -116,10 +116,10 @@ fn every_run_of_a_campaign_conserves_packets() {
 
 #[test]
 fn engine_pairs_report_byte_identical_statistics() {
-    // Runs that differ only in scheduling engine share a derived seed, so
-    // the equivalence contract (crates/sim/tests/equivalence.rs) must
-    // surface here too: every sync/event pair of records in the artifact
-    // carries byte-identical statistics. Engine varies before scenario,
+    // Runs that differ only in the engine label share a derived seed and,
+    // since nothing reads the label, are the same run: every sync/event
+    // pair of records in the artifact (E17 has 16 such pairs) carries
+    // byte-identical statistics. Engine varies before scenario,
     // so the grid lands in blocks of [sync × scenarios, event × scenarios].
     use iadm_bench::json::sim_stats_json;
     let spec = contract_spec();
@@ -145,11 +145,10 @@ fn engine_pairs_report_byte_identical_statistics() {
 
 #[test]
 fn arbitration_pairs_report_byte_identical_statistics() {
-    // Lane invariance, end to end: every published statistic is
-    // link-granular (held counts, carried flits, occupancy sums), so
-    // which lane a grant lands on is unobservable — first-free and
-    // least-held runs of the same realization must carry byte-identical
-    // statistics even across multi-lane wormhole churn. The arbitration
+    // The arbitration label is never read, so first-free and least-held
+    // runs of the same realization (E20 records both) must carry
+    // byte-identical statistics even across multi-lane wormhole churn.
+    // The arbitration
     // axis varies above tag-repair × engine × scenario, so the grid
     // lands in blocks of [first-free × inner, least-held × inner].
     use iadm_bench::json::sim_stats_json;
@@ -258,9 +257,7 @@ fn closed_loop_artifacts_are_byte_identical_across_1_2_and_8_threads() {
 
 #[test]
 fn closed_loop_engine_pairs_report_byte_identical_statistics() {
-    // The sync/event equivalence contract extends to every closed-loop
-    // workload: response-triggered injections scheduled as events must
-    // reproduce the cycle-driven engine's statistics bit-for-bit.
+    // The engine label stays inert for every closed-loop workload too.
     use iadm_bench::json::sim_stats_json;
     let spec = closed_loop_spec();
     let scenarios = spec.scenarios.len();
@@ -294,10 +291,8 @@ fn closed_loop_engine_pairs_report_byte_identical_statistics() {
 
 /// The convergence analogue of [`contract_spec`]: d-choice (plain and
 /// sticky) next to SSDT, with steady-state termination on every run, so
-/// the early-stop cycle itself is under the byte-identity contract —
-/// across thread counts *and* across scheduling engines (the event
-/// engine clamps its idle jumps to window boundaries precisely so its
-/// polls land on the synchronous engine's cycles).
+/// the early-stop cycle itself is under the byte-identity contract
+/// across thread counts and engine labels.
 fn convergence_spec() -> SweepSpec {
     SweepSpec {
         name: "convergence-contract".into(),
@@ -350,9 +345,8 @@ fn converging_campaigns_are_byte_identical_across_1_2_and_8_threads() {
 
 #[test]
 fn converging_engine_pairs_stop_at_the_same_window_boundary() {
-    // Early termination must not break the sync/event equivalence
-    // contract: paired runs stop at the same boundary with identical
-    // statistics — converged_at_cycle included, byte for byte.
+    // Engine-label pairs of converging runs stop at the same boundary
+    // with identical statistics — converged_at_cycle included.
     use iadm_bench::json::sim_stats_json;
     let spec = convergence_spec();
     let scenarios = spec.scenarios.len();

@@ -1,5 +1,5 @@
 //! The `WorkloadSource` trait: the contract between a workload and the
-//! simulator engines.
+//! simulator engine.
 //!
 //! The simulator used to *be* its own workload — a Bernoulli draw per
 //! source per cycle, hard-coded into the arrivals phase. A workload
@@ -8,31 +8,26 @@
 //! (`on_delivered` / `on_lost`), so the workload can close the loop —
 //! issue a response when a request lands, start thinking when a response
 //! lands, re-issue after a loss. The engine stays in charge of *when*
-//! (cycle phases, event scheduling); the workload is in charge of
+//! (cycle phases); the workload is in charge of
 //! *what* (which packets, between which nodes, tagged with which
 //! operation).
 //!
 //! # The determinism contract
 //!
-//! Both engines must produce byte-identical statistics (the differential
-//! contract of `crates/sim/tests/equivalence.rs`), but they call into a
-//! source differently: the synchronous engine polls **every cycle**,
-//! while the event-driven engine polls only on cycles it armed from
-//! [`WorkloadSource::next_wake`] or after a completion hook ran. Three
-//! rules make the two call patterns observationally identical:
+//! The engine polls a source **every cycle**, after the cycle's
+//! delivery and loss hooks, and its statistics must be a pure function
+//! of the run's seeds. Three rules keep it so:
 //!
 //! 1. `poll` on a cycle where nothing is due must be a **strict no-op**:
-//!    no RNG draws, no injections. (The event engine may also deliver
-//!    *spurious* polls — a stale wake-up armed before a loss rescheduled
-//!    the work — so a no-op poll must be cheap and draw-free.)
+//!    no RNG draws, no injections.
 //! 2. `next_wake(now)` must never be later than the source's next
-//!    non-no-op poll cycle, so the event engine cannot sleep through
-//!    due work. Returning `now` itself is always safe (it degenerates
-//!    to per-cycle polling).
+//!    non-no-op poll cycle. Returning `now` itself is always safe. The
+//!    engine does not call it (it was the schedule input of the deleted
+//!    event-driven engine); the sources' own tests check it.
 //! 3. All randomness comes from the `rng` handed in — a dedicated
 //!    workload stream, disjoint from the engine's traffic stream — and
 //!    hooks fire in the engine's canonical phase order, so the draw
-//!    sequence is identical across engines.
+//!    sequence is fixed by the seeds.
 
 use crate::histogram::LatencyHistogram;
 use iadm_rng::StdRng;
@@ -136,7 +131,7 @@ pub trait WorkloadSource: std::fmt::Debug {
     fn on_lost(&mut self, op: u32, cycle: u64, rng: &mut StdRng);
 
     /// The earliest cycle `>= now` at which `poll` could do work,
-    /// ignoring future deliveries (the engine re-arms after every hook).
+    /// ignoring future deliveries (a scheduler re-arms after every hook).
     /// `None` means "nothing scheduled — wake me only via hooks".
     fn next_wake(&self, now: u64) -> Option<u64>;
 

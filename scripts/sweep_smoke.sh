@@ -75,34 +75,12 @@ fi
 
 echo "sweep_smoke: wormhole OK ($(wc -c < "$wh_out") bytes)"
 
-# Engine smoke: a tiny two-engine campaign must label its event-driven
-# runs, while synchronous records stay free of any engine field (the
-# default engine is invisible in the artifact, like mode/pattern).
-eng_out="$(mktemp /tmp/iadm_sweep_eng.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out"' EXIT
-
-./target/release/iadm-cli sweep --n 8 --loads 0.4 --policies ssdt \
-    --cycles 300 --engines sync,event --faults none,mtbf:80:30 \
-    --threads 2 --out "$eng_out"
-
-[ -s "$eng_out" ] || { echo "sweep_smoke: empty engine artifact" >&2; exit 1; }
-grep -q '"engine":"event"' "$eng_out" || {
-    echo "sweep_smoke: engine artifact missing the event engine label" >&2
-    exit 1
-}
-if grep -q '"engine":"sync"' "$eng_out"; then
-    echo "sweep_smoke: synchronous runs must not carry an engine field" >&2
-    exit 1
-fi
-
-echo "sweep_smoke: engines OK ($(wc -c < "$eng_out") bytes)"
-
 # Lane smoke (E16-style row): a wormhole campaign across lanes ∈ {1,2,4}
 # must label each lane count distinctly — the multi-lane axis is how the
 # virtual-channel experiments scale, so all three labels must survive the
 # artifact round-trip.
 lanes_out="$(mktemp /tmp/iadm_sweep_lanes.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$lanes_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 --policies ssdt \
     --cycles 300 --modes wormhole:4,wormhole:4:2,wormhole:4:4 \
@@ -118,22 +96,23 @@ done
 
 echo "sweep_smoke: lanes {1,2,4} OK ($(wc -c < "$lanes_out") bytes)"
 
-# Arbitration + tag-repair smoke (E20-style row): a multi-lane campaign
-# across both presentation axes must label only the non-default values —
-# `first-free` and `aware` runs stay bare, so every pre-existing artifact
-# keeps its byte encoding (checked against the plain smoke artifact too).
+# Tag-repair smoke (E20-style row): a multi-lane campaign across the
+# tag-repair axis must label only the non-default value — `aware` runs,
+# like the default `first-free` arbitration label, stay bare, so every
+# pre-existing artifact keeps its byte encoding (checked against the
+# plain smoke artifact too). The arbitration labels E20 records are
+# pinned by `--spec e20` in verify.sh and by crates/sweep/src/report.rs.
 arb_out="$(mktemp /tmp/iadm_sweep_arb.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$lanes_out" "$arb_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 --policies tsdt \
-    --cycles 300 --modes wormhole:4:2 \
-    --arbitrations first-free,round-robin,least-held --repairs aware,blind \
+    --cycles 300 --modes wormhole:4:2 --repairs aware,blind \
     --faults none,mtbf:80:30 --threads 2 --out "$arb_out"
 
-[ -s "$arb_out" ] || { echo "sweep_smoke: empty arbitration artifact" >&2; exit 1; }
-for arb_label in '"arbitration":"round-robin"' '"arbitration":"least-held"' '"tag_repair":"blind"'; do
+[ -s "$arb_out" ] || { echo "sweep_smoke: empty tag-repair artifact" >&2; exit 1; }
+for arb_label in '"tag_repair":"blind"'; do
     grep -q "$arb_label" "$arb_out" || {
-        echo "sweep_smoke: arbitration artifact missing $arb_label" >&2
+        echo "sweep_smoke: tag-repair artifact missing $arb_label" >&2
         exit 1
     }
 done
@@ -150,16 +129,16 @@ if grep -q '"arbitration"' "$out" || grep -q '"tag_repair"' "$out"; then
     exit 1
 fi
 
-echo "sweep_smoke: arbitration+repair OK ($(wc -c < "$arb_out") bytes)"
+echo "sweep_smoke: tag-repair OK ($(wc -c < "$arb_out") bytes)"
 
 # Closed-loop smoke: a tiny request/response + flow campaign must label
 # each workload and report the request-latency ledger (issued counts and
 # p99) that only closed-loop runs emit.
 wl_out="$(mktemp /tmp/iadm_sweep_wl.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$lanes_out" "$arb_out" "$wl_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --policies ssdt,tsdt \
-    --cycles 300 --workloads rr:all:8,flow:4:8:2 --engines sync,event \
+    --cycles 300 --workloads rr:all:8,flow:4:8:2 \
     --faults none,mtbf:80:30 --threads 2 --out "$wl_out"
 
 [ -s "$wl_out" ] || { echo "sweep_smoke: empty closed-loop artifact" >&2; exit 1; }
@@ -187,10 +166,10 @@ echo "sweep_smoke: closed-loop OK ($(wc -c < "$wl_out") bytes)"
 # run-level recipe, and report a steady-state stop (`converged_at_cycle`)
 # for at least one run; fixed-horizon campaigns never emit either field.
 dc_out="$(mktemp /tmp/iadm_sweep_dc.XXXXXX.json)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"' EXIT
 
 ./target/release/iadm-cli sweep --n 8 --loads 0.4 \
-    --policies ssdt,dchoice:2,dchoice:2:sticky --engines sync,event \
+    --policies ssdt,dchoice:2,dchoice:2:sticky \
     --cycles 400 --converge 50:0.2 --threads 2 --out "$dc_out"
 
 [ -s "$dc_out" ] || { echo "sweep_smoke: empty d-choice artifact" >&2; exit 1; }
@@ -235,7 +214,7 @@ echo "sweep_smoke: unknown-flag rejection OK"
 # processes (each writing a journal) and merged must be byte-identical to
 # the single-process artifact — the distributed-execution contract.
 shard_dir="$(mktemp -d /tmp/iadm_sweep_shard.XXXXXX)"
-trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$eng_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
+trap 'rm -f "$out" "$mtbf_out" "$wh_out" "$lanes_out" "$arb_out" "$wl_out" "$dc_out"; rm -rf "$shard_dir"' EXIT
 
 ./target/release/iadm-cli sweep --spec smoke --threads 2 \
     --shard 1/2 --journal "$shard_dir/s1.jnl"

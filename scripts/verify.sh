@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: hermetic (offline) release build, campaign
-# byte-identity, format gate, lint wall, and full test suite. No network,
-# no registry — every dependency is an in-tree path crate.
+# byte-identity, format gate, lint wall, doc-link gate, and full test
+# suite. No network, no registry — every dependency is an in-tree path
+# crate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,9 @@ for spec in e13 e19 e20; do
 done
 cargo fmt --all --check
 cargo clippy -q --offline --all-targets -- -D warnings
+# Every intra-doc link must resolve: a deleted or private item named in
+# public docs fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 cargo test -q --offline
 # The campaign benchmark is a package of its own (outside the workspace)
 # that compiles against the crates' public API; testing it here makes an
