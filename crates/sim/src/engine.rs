@@ -6,7 +6,7 @@
 //! live in a flat [`QueueArena`] of fixed-capacity ring buffers indexed
 //! arithmetically by `(stage, switch, kind)` — the same layout as
 //! [`Link::flat_index`] — and candidate links are fixed-size inline
-//! arrays instead of heap-allocated lists. Per-switch occupancy counters
+//! arrays instead of heap-allocated lists. Per-switch occupancy bits
 //! let the advance loop skip empty switches (and whole empty stages)
 //! without changing the sequence of routing decisions or RNG draws, so
 //! statistics are bit-identical to the original nested-`Vec` engine
@@ -224,12 +224,11 @@ impl SwitchingMode {
     }
 }
 
-/// One wormhole-mode packet in flight: `flits` flits pipelined over the
-/// chain of reserved link lanes in `held` (front = tail-most lane, back =
-/// the head's lane). The routing-relevant fields mirror [`Packet`]'s
-/// exactly — a worm *is* a packet whose body occupies links instead of a
-/// buffer slot. Invariant while live: `flits == ejected + held.len() +
-/// pending`.
+/// One wormhole-mode packet in flight: `flits` flits pipelined over a
+/// chain of reserved link lanes, one per stage from the tail-most lane to
+/// the head's. The routing-relevant fields mirror [`Packet`]'s exactly —
+/// a worm *is* a packet whose body occupies links instead of a buffer
+/// slot. Invariant while live: `flits == ejected + held + pending`.
 #[derive(Debug)]
 struct Worm {
     /// Destination output port.
@@ -253,8 +252,20 @@ struct Worm {
     ejecting: bool,
     /// Retired (delivered or killed); awaiting free-list recycling.
     dead: bool,
-    /// Global reservation-table lane slots held, rear first.
-    held: VecDeque<u32>,
+    /// Moves so far (launch, head advances, ejected flits), each one
+    /// flit across every lane held after it: the lane on stage `k`,
+    /// reserved by move `k + 1`, has carried `moves - k` flits.
+    moves: u32,
+    /// Lanes held, one per stage `head_stage + 1 - held ..= head_stage`
+    /// (their slots are the worm's row of [`WormState::lanes`]).
+    held: u32,
+}
+
+impl Worm {
+    /// The stage of the tail-most lane held.
+    fn rear(&self) -> u32 {
+        self.head_stage + 1 - self.held
+    }
 }
 
 /// All wormhole-mode state, boxed into an `Option` on the [`Simulator`]:
@@ -272,6 +283,10 @@ struct WormState {
     reservations: ReservationTable,
     /// Worm storage; indices are worm ids, recycled through `free`.
     worms: Vec<Worm>,
+    /// Stages of the network: the length of a worm's row of `lanes`.
+    stages: usize,
+    /// Per worm id, a row of the lane slots it holds, indexed by stage.
+    lanes: Vec<u32>,
     /// Retired worm ids available for reuse.
     free: Vec<u32>,
     /// Live worm ids in admission order (the advance loop rotates its
@@ -282,6 +297,39 @@ struct WormState {
     /// drains per port per cycle — the wormhole analogue of the exit
     /// column's single-packet acceptance.
     eject_hold: Vec<u32>,
+}
+
+impl WormState {
+    /// The lane slots worm `id` holds, rear first.
+    fn held_slots(&self, id: u32) -> &[u32] {
+        let (w, row) = (&self.worms[id as usize], id as usize * self.stages);
+        &self.lanes[row + w.rear() as usize..=row + w.head_stage as usize]
+    }
+
+    /// Reserves a lane of link `q` for worm `id`, whose head moves onto
+    /// it at `stage`.
+    fn advance_head(&mut self, id: u32, q: usize, stage: usize) {
+        let slot = self
+            .reservations
+            .reserve(q, id)
+            .expect("the decision guaranteed a free lane");
+        self.lanes[id as usize * self.stages + stage] = slot as u32;
+        let w = &mut self.worms[id as usize];
+        w.head_stage = stage as u32;
+        w.held += 1;
+    }
+
+    /// Releases every lane worm `id` holds, crediting each link with the
+    /// flits its lane carried.
+    fn release_held(&mut self, id: u32) {
+        let (w, row) = (&self.worms[id as usize], id as usize * self.stages);
+        for stage in w.rear()..=w.head_stage {
+            let slot = self.lanes[row + stage as usize] as usize;
+            let flits = w.moves - stage;
+            self.reservations.release_carrying(slot, u64::from(flits));
+        }
+        self.worms[id as usize].held = 0;
+    }
 }
 
 /// Test-support snapshot of the wormhole lane ledger
@@ -424,7 +472,7 @@ impl BufferView for ReservationTable {
 /// field so the decision logic can mutate policy state (SSDT switch
 /// states, the RNG, reroute counters, sticky choices) while the caller
 /// still holds a shared borrow of whichever buffer backend is in play.
-/// Built inline by the `decide*` wrappers; never stored.
+/// Built by [`Simulator::policy_ctx`] for one decision; never stored.
 pub(crate) struct PolicyCtx<'a> {
     pub(crate) policy: RoutingPolicy,
     pub(crate) n: usize,
@@ -443,9 +491,12 @@ pub(crate) struct PolicyCtx<'a> {
 impl PolicyCtx<'_> {
     /// Decides which output buffer of switch `sw` at `stage` a packet
     /// bound for `dest` (carrying TSDT state word `tag_state`, if any)
-    /// enters. This is the single shared body behind
-    /// [`Simulator::decide`] and [`Simulator::decide_worm`] — the policy
-    /// match lives here once, parameterized over the occupancy backend.
+    /// enters. This is the single body behind every switching decision
+    /// of both switching modes and the reference loop — the policy match
+    /// lives here once, parameterized over the occupancy backend. Takes
+    /// the two routing-relevant fields instead of the whole packet, so
+    /// callers can peek them through a borrow without copying it.
+    #[inline(always)]
     pub(crate) fn decide<B: BufferView>(
         &mut self,
         buffers: &B,
@@ -661,10 +712,9 @@ pub struct Simulator {
     lut: Arc<RouteLut>,
     /// All link buffers; queue index = `Link::flat_index`.
     queues: QueueArena,
-    /// Queued packets per `(stage, switch)` (all three kinds), letting the
-    /// advance loop skip empty switches.
-    switch_load: Vec<u32>,
-    /// One bit per `(stage, switch)`: set iff `switch_load > 0`. The
+    /// One bit per `(stage, switch)`: set iff one of the switch's three
+    /// queues holds a packet (set on a push, cleared when the advance
+    /// loop leaves the switch with all three empty). The
     /// advance loop walks set bits with `trailing_zeros` instead of
     /// testing all `N` switches per stage — the per-switch branch on a
     /// ~70%-idle load pattern mispredicts constantly and dominated the
@@ -880,7 +930,6 @@ impl Simulator {
         );
         let SimScratch {
             queues,
-            switch_load,
             switch_bits,
             touched,
             live_scratch,
@@ -905,7 +954,6 @@ impl Simulator {
             },
             lut,
             queues,
-            switch_load,
             switch_bits,
             touched,
             live_scratch,
@@ -942,7 +990,6 @@ impl Simulator {
     fn into_scratch(self, scratch: &mut SimScratch) {
         let mut buffers = SimScratch {
             queues: self.queues,
-            switch_load: self.switch_load,
             switch_bits: self.switch_bits,
             touched: self.touched,
             live_scratch: self.live_scratch,
@@ -959,9 +1006,7 @@ impl Simulator {
             sticky: self.sticky,
             downed_scratch: self.downed_scratch,
         };
-        // The arena has queues only when the run buffered packets in it.
-        let arena = buffers.queues.queue_count() > 0;
-        buffers.reset(self.config.size, arena);
+        buffers.reset(self.config.size);
         *scratch = buffers;
     }
 
@@ -1011,6 +1056,8 @@ impl Simulator {
             flits,
             reservations: ReservationTable::new(Link::slot_count(size), lanes as usize),
             worms: Vec::new(),
+            stages: size.stages(),
+            lanes: Vec::new(),
             free: Vec::new(),
             order: Vec::new(),
             eject_hold: vec![ReservationTable::FREE; size.n()],
@@ -1141,15 +1188,17 @@ impl Simulator {
             }
             self.timeline_cursor += 1;
             self.stats.fault_events += 1;
-            let map = Arc::make_mut(&mut self.blockages);
+            let idx = event.link.flat_index(self.config.size);
+            // A link the static map blocked stays blocked all run: only a
+            // link a timeline failure took down can be repaired.
             let changed = if event.up {
-                map.unblock(event.link)
+                self.down_since[idx] != u64::MAX
+                    && Arc::make_mut(&mut self.blockages).unblock(event.link)
             } else {
-                map.block(event.link)
+                Arc::make_mut(&mut self.blockages).block(event.link)
             };
             if !changed {
-                // Already in the target state (e.g. a scheduled failure
-                // of a link the static map had blocked): nothing to do.
+                // Already in the target state: nothing to do.
                 continue;
             }
             Arc::make_mut(&mut self.lut).refresh_switch(
@@ -1157,7 +1206,6 @@ impl Simulator {
                 event.link.from,
                 &self.blockages,
             );
-            let idx = event.link.flat_index(self.config.size);
             if event.up {
                 // The map only widened: repair-aware caches lazily re-tag
                 // the affected lines, blind ones wait out epoch turnover.
@@ -1310,15 +1358,14 @@ impl Simulator {
         true
     }
 
-    /// Decides which output buffer of switch `sw` at `stage` a packet
-    /// bound for `dest` (carrying TSDT state word `tag_state`, if any)
-    /// enters. Takes the two routing-relevant fields instead of the whole
-    /// packet so callers can peek them through a borrow without copying
-    /// the queued packet. Thin wrapper over the shared
-    /// [`PolicyCtx::decide`] body, instantiated with the flat queue
-    /// arena.
-    fn decide(&mut self, stage: usize, sw: usize, dest: u32, tag_state: Option<u32>) -> Decision {
-        let mut ctx = PolicyCtx {
+    /// The routing-relevant fields reborrowed as a [`PolicyCtx`], and
+    /// beside them the flat queue arena a store-and-forward decision
+    /// balances across (a wormhole one passes its reservation table).
+    /// Every caller decides once per visited queue head or waiting
+    /// source, so the decision is inlined into its loop.
+    #[inline(always)]
+    fn policy_ctx(&mut self) -> (PolicyCtx<'_>, &QueueArena) {
+        let ctx = PolicyCtx {
             policy: self.policy,
             n: self.config.size.n(),
             dynamic: self.dynamic,
@@ -1329,7 +1376,7 @@ impl Simulator {
             rng: &mut self.rng,
             sticky: &mut self.sticky,
         };
-        ctx.decide(&self.queues, stage, sw, dest, tag_state)
+        (ctx, &self.queues)
     }
 
     /// The state bits of the sender-side TSDT tag for `(source, dest)`:
@@ -1351,30 +1398,12 @@ impl Simulator {
         outcome
     }
 
-    /// Notes one more queued packet at `(stage, sw)` (both the counter
-    /// and the occupancy bit).
+    /// Sets the occupancy and touched bits of `(stage, sw)`.
     #[inline]
-    fn load_inc(&mut self, stage: usize, sw: usize) {
-        let n = self.config.size.n();
-        let slot = &mut self.switch_load[stage * n + sw];
-        if *slot == 0 {
-            let word = stage * n.div_ceil(64) + (sw >> 6);
-            self.switch_bits[word] |= 1u64 << (sw & 63);
-            self.touched[word] |= 1u64 << (sw & 63);
-        }
-        *slot += 1;
-    }
-
-    /// Notes one less queued packet at `(stage, sw)`, clearing the
-    /// occupancy bit when the switch drains.
-    #[inline]
-    fn load_dec(&mut self, stage: usize, sw: usize) {
-        let n = self.config.size.n();
-        let slot = &mut self.switch_load[stage * n + sw];
-        *slot -= 1;
-        if *slot == 0 {
-            self.switch_bits[stage * n.div_ceil(64) + (sw >> 6)] &= !(1u64 << (sw & 63));
-        }
+    fn mark_busy(&mut self, stage: usize, sw: usize) {
+        let word = stage * self.config.size.n().div_ceil(64) + (sw >> 6);
+        self.switch_bits[word] |= 1u64 << (sw & 63);
+        self.touched[word] |= 1u64 << (sw & 63);
     }
 
     /// Runs one cycle: deliver/advance from the last stage backward, then
@@ -1499,7 +1528,6 @@ impl Simulator {
                         // Exit at the output column.
                         self.accepted[to] += 1;
                         let packet = self.queues.pop_carried(q);
-                        self.load_dec(stage, sw);
                         self.stage_load[stage] -= 1;
                         if to == packet.dest as usize {
                             self.stats.delivered += 1;
@@ -1521,28 +1549,32 @@ impl Simulator {
                     // 16-byte packet is copied once, inside pop -> push.
                     let head = self.queues.head(q).expect("non-empty queue has a head");
                     let (dest, tag_state) = (head.dest, head.tag_state());
-                    match self.decide(stage + 1, to, dest, tag_state) {
+                    let (mut ctx, queues) = self.policy_ctx();
+                    match ctx.decide(queues, stage + 1, to, dest, tag_state) {
                         Decision::Enqueue(next_kind) => {
                             let packet = self.queues.pop_carried(q);
-                            self.load_dec(stage, sw);
                             self.stage_load[stage] -= 1;
                             let next_q = (row + n + to) * 3 + next_kind.index();
                             let ok = self.queues.push(next_q, packet);
                             debug_assert!(ok, "decide() guaranteed space");
-                            self.load_inc(stage + 1, to);
+                            self.mark_busy(stage + 1, to);
                             self.stage_load[stage + 1] += 1;
                             self.accepted[to] += 1;
                         }
                         Decision::Stall => {}
                         Decision::Drop => {
                             let packet = self.queues.pop(q).expect("non-empty queue has a head");
-                            self.load_dec(stage, sw);
                             self.stage_load[stage] -= 1;
                             self.note_drop();
                             self.note_workload_loss(packet.op);
                         }
                     }
                 }
+                // The switch leaves the occupancy bits once its queues are empty.
+                let busy = self.queues.len(qbase)
+                    | self.queues.len(qbase + 1)
+                    | self.queues.len(qbase + 2);
+                self.switch_bits[wrow + (sw >> 6)] &= !(u64::from(busy == 0) << (sw & 63));
             }
             // Reset the accept counters this stage touched. Only the
             // targets of the gathered switches can have been counted, so
@@ -1572,7 +1604,8 @@ impl Simulator {
                     .front()
                     .expect("source bit set for an empty queue");
                 let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide(0, s, dest, tag_state) {
+                let (mut ctx, queues) = self.policy_ctx();
+                match ctx.decide(queues, 0, s, dest, tag_state) {
                     Decision::Enqueue(kind) => {
                         let packet = self.source_queues[s].pop_front().unwrap();
                         if self.source_queues[s].is_empty() {
@@ -1581,7 +1614,7 @@ impl Simulator {
                         let q = self.queue_index(0, s, kind);
                         let ok = self.queues.push(q, packet);
                         debug_assert!(ok, "decide() guaranteed space");
-                        self.load_inc(0, s);
+                        self.mark_busy(0, s);
                         self.stage_load[0] += 1;
                     }
                     Decision::Stall => {}
@@ -1603,8 +1636,8 @@ impl Simulator {
         } else {
             self.open_loop_arrivals(0);
         }
-        // Occupancy sampling: one shared tick; per-queue sums catch up
-        // lazily inside the arena.
+        // Occupancy sampling: one shared tick; each queue's integral
+        // reads the counter when a packet enters or leaves it.
         self.queues.tick();
         self.cycle += 1;
     }
@@ -1649,9 +1682,13 @@ impl Simulator {
         self.accepted[..n].fill(0);
         let live = ws.order.len();
         if live > 0 {
-            let start = self.cycle as usize % live;
-            for i in 0..live {
-                let id = ws.order[(start + i) % live];
+            let mut i = self.cycle as usize % live;
+            for _ in 0..live {
+                let id = ws.order[i];
+                i += 1;
+                if i == live {
+                    i = 0;
+                }
                 let w = &ws.worms[id as usize];
                 if w.dead {
                     continue;
@@ -1676,17 +1713,13 @@ impl Simulator {
                     }
                     continue;
                 }
-                match self.decide_worm(&ws.reservations, head_stage + 1, head_to, dest, tag_state) {
+                let mut ctx = self.policy_ctx().0;
+                match ctx.decide(&ws.reservations, head_stage + 1, head_to, dest, tag_state) {
                     Decision::Enqueue(kind) => {
                         let q = self.queue_index(head_stage + 1, head_to, kind);
-                        let slot = ws
-                            .reservations
-                            .reserve(q, id)
-                            .expect("decide_worm guaranteed a free lane");
-                        let w = &mut ws.worms[id as usize];
-                        w.held.push_back(slot as u32);
-                        w.head_stage = (head_stage + 1) as u32;
-                        w.head_to = kind.target(size, head_stage + 1, head_to) as u32;
+                        ws.advance_head(id, q, head_stage + 1);
+                        ws.worms[id as usize].head_to =
+                            kind.target(size, head_stage + 1, head_to) as u32;
                         shift_rear(&mut ws, id);
                     }
                     Decision::Stall => {
@@ -1698,8 +1731,8 @@ impl Simulator {
                 }
             }
         }
-        // Retire dead worms into the free list (ids recycle; `held`
-        // capacity is retained across reuse).
+        // Retire dead worms into the free list (ids recycle, and with
+        // them their rows of `lanes`).
         ws.order.retain(|&id| {
             if ws.worms[id as usize].dead {
                 ws.free.push(id);
@@ -1719,22 +1752,16 @@ impl Simulator {
                     .front()
                     .expect("source bit set for an empty queue");
                 let (dest, tag_state) = (head.dest, head.tag_state());
-                match self.decide_worm(&ws.reservations, 0, s, dest, tag_state) {
+                let mut ctx = self.policy_ctx().0;
+                match ctx.decide(&ws.reservations, 0, s, dest, tag_state) {
                     Decision::Enqueue(kind) => {
                         let packet = self.source_queues[s].pop_front().unwrap();
                         if self.source_queues[s].is_empty() {
                             self.source_bits[wi] &= !(1u64 << (s & 63));
                         }
                         let id = alloc_worm(&mut ws, &packet);
-                        let q = self.queue_index(0, s, kind);
-                        let slot = ws
-                            .reservations
-                            .reserve(q, id)
-                            .expect("decide_worm guaranteed a free lane");
-                        let worm = &mut ws.worms[id as usize];
-                        worm.held.push_back(slot as u32);
-                        worm.head_stage = 0;
-                        worm.head_to = kind.target(size, 0, s) as u32;
+                        ws.advance_head(id, self.queue_index(0, s, kind), 0);
+                        ws.worms[id as usize].head_to = kind.target(size, 0, s) as u32;
                         shift_rear(&mut ws, id);
                         ws.order.push(id);
                     }
@@ -1758,33 +1785,6 @@ impl Simulator {
         self.cycle += 1;
     }
 
-    /// [`Simulator::decide`]'s wormhole twin: the shared
-    /// [`PolicyCtx::decide`] body instantiated with lane availability
-    /// (`ReservationTable`) in place of buffer space, so SSDT and
-    /// d-choice balance *held-lane* counts and TSDT tags steer worms the
-    /// way they steer packets.
-    fn decide_worm(
-        &mut self,
-        res: &ReservationTable,
-        stage: usize,
-        sw: usize,
-        dest: u32,
-        tag_state: Option<u32>,
-    ) -> Decision {
-        let mut ctx = PolicyCtx {
-            policy: self.policy,
-            n: self.config.size.n(),
-            dynamic: self.dynamic,
-            blockages: &self.blockages,
-            lut: &self.lut,
-            stats: &mut self.stats,
-            states: &mut self.states,
-            rng: &mut self.rng,
-            sticky: &mut self.sticky,
-        };
-        ctx.decide(res, stage, sw, dest, tag_state)
-    }
-
     /// Drains one flit of worm `id` into its output port, releasing the
     /// tail lane as the body shifts forward; on the last flit the worm
     /// retires and the delivery (and head-injection-to-tail-ejection
@@ -1800,7 +1800,7 @@ impl Simulator {
             return;
         }
         debug_assert!(
-            w.held.is_empty() && w.pending == 0,
+            w.held == 0 && w.pending == 0,
             "fully-ejected worm still holds lanes"
         );
         w.dead = true;
@@ -1827,18 +1827,15 @@ impl Simulator {
         if ws.worms[id as usize].dead {
             return;
         }
-        let lost =
-            u64::from(ws.worms[id as usize].pending) + ws.worms[id as usize].held.len() as u64;
-        while let Some(slot) = ws.worms[id as usize].held.pop_front() {
-            ws.reservations.release(slot as usize);
+        let w = &ws.worms[id as usize];
+        self.stats.flits_dropped += u64::from(w.pending + w.held);
+        ws.release_held(id);
+        let w = &mut ws.worms[id as usize];
+        w.pending = 0;
+        w.dead = true;
+        if w.ejecting {
+            ws.eject_hold[w.head_to as usize] = ReservationTable::FREE;
         }
-        ws.worms[id as usize].pending = 0;
-        ws.worms[id as usize].dead = true;
-        if ws.worms[id as usize].ejecting {
-            let head_to = ws.worms[id as usize].head_to as usize;
-            ws.eject_hold[head_to] = ReservationTable::FREE;
-        }
-        self.stats.flits_dropped += lost;
         self.note_drop();
     }
 
@@ -1854,7 +1851,7 @@ impl Simulator {
         for &id in &ws.order {
             let w = &ws.worms[id as usize];
             if !w.dead {
-                flits += u64::from(w.pending) + w.held.len() as u64;
+                flits += u64::from(w.pending + w.held);
             }
         }
         flits
@@ -1878,7 +1875,7 @@ impl Simulator {
                 .order
                 .iter()
                 .filter(|&&id| !ws.worms[id as usize].dead)
-                .map(|&id| (id, ws.worms[id as usize].held.iter().copied().collect()))
+                .map(|&id| (id, ws.held_slots(id).to_vec()))
                 .collect(),
         })
     }
@@ -1972,13 +1969,16 @@ impl Simulator {
         let queued: u64 = self.source_queues.iter().map(|q| q.len() as u64).sum();
         self.stats.in_flight = queued;
         let size = self.config.size;
-        if let Some(ws) = self.wormhole.take() {
+        if let Some(mut ws) = self.wormhole.take() {
             self.stats.flits_in_flight = queued * u64::from(ws.flits);
-            for &id in &ws.order {
+            for i in 0..ws.order.len() {
+                let id = ws.order[i];
                 let w = &ws.worms[id as usize];
                 debug_assert!(!w.dead, "dead worms are retired every cycle");
                 self.stats.in_flight += 1;
-                self.stats.flits_in_flight += u64::from(w.pending) + w.held.len() as u64;
+                self.stats.flits_in_flight += u64::from(w.pending + w.held);
+                // Credits the lanes still held; no other statistic moves.
+                ws.release_held(id);
             }
             let res = &ws.reservations;
             self.stats.fold_links(res, size, 0..res.link_count() / 3);
@@ -2005,30 +2005,31 @@ impl Simulator {
 
 /// Slides worm `id` one link forward after its head moved (advance or
 /// eject): a pending flit enters the rear lane if any remain at the
-/// source, otherwise the tail releases the rear lane; every still-held
-/// lane then carried exactly one flit this cycle. Free function (not a
+/// source, otherwise the tail releases the rear lane, crediting its
+/// link with the flits it carried; every still-held lane then carried
+/// one more flit, counted by the move. Free function (not a
 /// `Simulator` method) because the worm state is detached from the
 /// simulator for the duration of a wormhole step.
 fn shift_rear(ws: &mut WormState, id: u32) {
-    if ws.worms[id as usize].pending > 0 {
-        ws.worms[id as usize].pending -= 1;
+    let w = &mut ws.worms[id as usize];
+    if w.pending > 0 {
+        w.pending -= 1;
     } else {
-        let slot = ws.worms[id as usize]
-            .held
-            .pop_front()
-            .expect("a live worm holds at least one lane");
-        ws.reservations.release(slot as usize);
+        debug_assert!(w.held > 0, "a live worm holds at least one lane");
+        let rear = w.rear();
+        w.held -= 1;
+        let slot = ws.lanes[id as usize * ws.stages + rear as usize];
+        ws.reservations
+            .release_carrying(slot as usize, u64::from(w.moves - rear));
     }
-    let lanes = ws.reservations.lanes();
-    for i in 0..ws.worms[id as usize].held.len() {
-        let slot = ws.worms[id as usize].held[i];
-        ws.reservations.carried_inc(slot as usize / lanes);
-    }
+    w.moves += 1;
 }
 
 /// Allocates a worm for `packet` (recycling a retired id when one is
-/// free), with all `flits` flits pending; the caller reserves the first
-/// lane and calls [`shift_rear`] to launch the head flit.
+/// free, or giving a new one its row of `lanes`), with all `flits` flits
+/// pending; the caller reserves the first lane with
+/// [`WormState::advance_head`] and calls [`shift_rear`] to launch the
+/// head flit.
 fn alloc_worm(ws: &mut WormState, packet: &Packet) -> u32 {
     let flits = ws.flits;
     if let Some(id) = ws.free.pop() {
@@ -2042,7 +2043,8 @@ fn alloc_worm(ws: &mut WormState, packet: &Packet) -> u32 {
         w.head_to = 0;
         w.ejecting = false;
         w.dead = false;
-        w.held.clear();
+        w.moves = 0;
+        w.held = 0;
         return id;
     }
     let id = ws.worms.len();
@@ -2060,8 +2062,10 @@ fn alloc_worm(ws: &mut WormState, packet: &Packet) -> u32 {
         head_to: 0,
         ejecting: false,
         dead: false,
-        held: VecDeque::new(),
+        moves: 0,
+        held: 0,
     });
+    ws.lanes.resize(ws.worms.len() * ws.stages, 0);
     id as u32
 }
 

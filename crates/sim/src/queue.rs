@@ -4,44 +4,39 @@
 //! The simulator owns `3 N n` output-link buffers (one per link slot,
 //! indexed exactly like [`iadm_topology::Link::flat_index`]). Keeping
 //! them as one arena instead of nested `Vec`s of `VecDeque`s makes the
-//! steady-state hot path allocation-free: pushes and pops move packets
-//! inside a preallocated slab, and occupancy statistics are maintained
-//! lazily in O(1) per operation instead of O(queues) per cycle. Each
-//! queue's bookkeeping ([`QueueMeta`]) is one 32-byte record, so a
-//! push/pop touches a single metadata cache line instead of five
-//! parallel arrays. Slot validity is tracked by the ring `len`, not an
-//! `Option` per slot, so packets stay at their bare 16 bytes and a pop
-//! never writes a tombstone back to the slab.
+//! steady-state hot path allocation-free, and occupancy statistics cost
+//! O(1) per operation instead of O(queues) per cycle. The queue lengths
+//! live in one dense `u16` array — all that the emptiness and fullness
+//! tests and the policies' occupancy reads touch — and the rest of each
+//! queue's bookkeeping ([`QueueMeta`]) in a 16-byte record that only a
+//! push or pop touches. Slot validity is tracked by the ring length, so
+//! packets stay at their bare 16 bytes and a pop writes no tombstone.
 //!
-//! Occupancy accounting: the old per-cycle `sample()` walk added every
-//! queue's length to its running sum once per cycle. The arena records
-//! the same sums without the walk — a queue's length only changes on
-//! push/pop, so each mutation first credits the *old* length for all
-//! sample points since the queue last changed ([`QueueArena::tick`]
-//! advances the shared sample counter once per cycle). The resulting
-//! per-queue sums are identical u64s, so downstream floating-point
-//! statistics are bit-identical to the eager walk.
+//! Occupancy accounting: the eager per-cycle walk added every queue's
+//! length to its sum once per cycle, so the sum counts the sample points
+//! each packet sat through. [`QueueArena::tick`] advances one shared
+//! sample counter; a push subtracts it from the queue's integral and a
+//! pop adds it back, and a reader adds `len × counter` for the packets
+//! still queued. In wrapping `u64` arithmetic that is the eager walk's
+//! exact sum, so every derived statistic is bit-identical to it.
 
 use crate::packet::Packet;
 
-/// Per-queue bookkeeping, packed into half a cache line.
+/// Per-queue bookkeeping besides the length, in a quarter cache line.
 #[derive(Debug, Clone, Copy, Default)]
 struct QueueMeta {
     /// Ring-buffer head offset.
     head: u16,
-    /// Current length.
-    len: u16,
     /// Largest occupancy ever observed.
     high_water: u16,
-    /// Cumulative occupancy over flushed sample points.
-    occupancy_sum: u64,
-    /// Shared-sample-counter value at the last flush.
-    flushed_at: u64,
-    /// Packets this queue's link has carried (the simulator's per-link
-    /// utilization counter, folded into the metadata record the hot path
-    /// already touches on every pop).
-    carried: u64,
+    /// Packets this queue's link has carried: at most one per cycle, and
+    /// a run has at most `u32::MAX` cycles.
+    carried: u32,
+    /// Pop-time minus push-time sample counters, wrapping.
+    occ: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<QueueMeta>() == 16);
 
 /// A flat arena of bounded FIFO ring buffers with per-queue occupancy
 /// tracking (high-water mark and cumulative occupancy), replacing the
@@ -56,6 +51,8 @@ pub struct QueueArena {
     /// `queues * capacity` packet slots; only the `len` slots starting at
     /// each queue's `head` (mod capacity) are live.
     slots: Vec<Packet>,
+    /// Current length of each queue.
+    len: Vec<u16>,
     /// One bookkeeping record per queue.
     meta: Vec<QueueMeta>,
     /// Shared sample counter (one tick per simulated cycle).
@@ -79,7 +76,7 @@ impl QueueArena {
     /// `capacity` packets each, reusing its allocation. Every queue must
     /// already be empty with zeroed counters: a new arena, or one whose
     /// used queues have each been [`clear`](QueueArena::clear)ed. Slots
-    /// are not rewritten, since a ring's `len` says which of them are
+    /// are not rewritten, since a ring's length says which of them are
     /// live.
     ///
     /// # Panics
@@ -92,20 +89,24 @@ impl QueueArena {
             "queue capacity {capacity} exceeds the arena's u16 ring offsets"
         );
         debug_assert!(
-            self.meta
-                .iter()
-                .all(|m| m.len == 0 && m.carried == 0 && m.high_water == 0),
+            self.len.iter().all(|&l| l == 0)
+                && self
+                    .meta
+                    .iter()
+                    .all(|m| m.carried == 0 && m.high_water == 0),
             "prepare on an arena with uncleared queues"
         );
         self.capacity = capacity;
         self.samples = 0;
         crate::scratch::fit(&mut self.slots, queues * capacity, Packet::new(0, 0));
+        crate::scratch::fit(&mut self.len, queues, 0);
         crate::scratch::fit(&mut self.meta, queues, QueueMeta::default());
     }
 
     /// Empties queue `q` and zeroes its counters (high-water mark,
-    /// occupancy sum, carried count).
+    /// occupancy integral, carried count).
     pub(crate) fn clear(&mut self, q: usize) {
+        self.len[q] = 0;
         self.meta[q] = QueueMeta::default();
     }
 
@@ -122,51 +123,39 @@ impl QueueArena {
     /// Current number of packets queued in queue `q`.
     #[inline]
     pub fn len(&self, q: usize) -> usize {
-        self.meta[q].len as usize
+        self.len[q] as usize
     }
 
     /// Is queue `q` empty?
     #[inline]
     pub fn is_empty(&self, q: usize) -> bool {
-        self.meta[q].len == 0
+        self.len[q] == 0
     }
 
     /// Is queue `q` at capacity?
     #[inline]
     pub fn is_full(&self, q: usize) -> bool {
-        self.meta[q].len as usize >= self.capacity
-    }
-
-    /// Credits the queue's current length for all sample points since its
-    /// last mutation, so the length change about to happen is not
-    /// retroactively applied to past cycles.
-    #[inline]
-    fn flush_occupancy(meta: &mut QueueMeta, samples: u64) {
-        let pending = samples - meta.flushed_at;
-        if pending > 0 {
-            meta.occupancy_sum += meta.len as u64 * pending;
-            meta.flushed_at = samples;
-        }
+        self.len[q] as usize >= self.capacity
     }
 
     /// Enqueues `packet` on queue `q`; returns `false` (leaving the queue
     /// unchanged) when full.
     #[inline]
     pub fn push(&mut self, q: usize, packet: Packet) -> bool {
-        let samples = self.samples;
-        let meta = &mut self.meta[q];
-        if meta.len as usize >= self.capacity {
+        let len = self.len[q];
+        if len as usize >= self.capacity {
             return false;
         }
-        Self::flush_occupancy(meta, samples);
+        let meta = &mut self.meta[q];
         // head + len < 2 * capacity, so one compare-subtract wraps the
         // ring without a hardware divide.
-        let mut pos = meta.head as usize + meta.len as usize;
+        let mut pos = meta.head as usize + len as usize;
         if pos >= self.capacity {
             pos -= self.capacity;
         }
-        meta.len += 1;
-        meta.high_water = meta.high_water.max(meta.len);
+        self.len[q] = len + 1;
+        meta.high_water = meta.high_water.max(len + 1);
+        meta.occ = meta.occ.wrapping_sub(self.samples);
         self.slots[q * self.capacity + pos] = packet;
         true
     }
@@ -174,17 +163,7 @@ impl QueueArena {
     /// Dequeues the head packet of queue `q`, if any.
     #[inline]
     pub fn pop(&mut self, q: usize) -> Option<Packet> {
-        let samples = self.samples;
-        let meta = &mut self.meta[q];
-        if meta.len == 0 {
-            return None;
-        }
-        Self::flush_occupancy(meta, samples);
-        let pos = meta.head as usize;
-        let next = pos + 1;
-        meta.head = if next == self.capacity { 0 } else { next } as u16;
-        meta.len -= 1;
-        Some(self.slots[q * self.capacity + pos])
+        (self.len[q] > 0).then(|| self.take_head(q))
     }
 
     /// Dequeues the head packet of queue `q` and counts it as carried
@@ -192,31 +171,32 @@ impl QueueArena {
     /// queue must be non-empty.
     #[inline]
     pub fn pop_carried(&mut self, q: usize) -> Packet {
-        let samples = self.samples;
+        debug_assert!(self.len[q] > 0, "pop_carried on an empty queue");
+        self.meta[q].carried += 1;
+        self.take_head(q)
+    }
+
+    /// Removes the head packet of the non-empty queue `q`.
+    #[inline]
+    fn take_head(&mut self, q: usize) -> Packet {
         let meta = &mut self.meta[q];
-        debug_assert!(meta.len > 0, "pop_carried on an empty queue");
-        Self::flush_occupancy(meta, samples);
         let pos = meta.head as usize;
         let next = pos + 1;
         meta.head = if next == self.capacity { 0 } else { next } as u16;
-        meta.len -= 1;
-        meta.carried += 1;
+        meta.occ = meta.occ.wrapping_add(self.samples);
+        self.len[q] -= 1;
         self.slots[q * self.capacity + pos]
     }
 
     /// Peeks at the head packet of queue `q`.
     #[inline]
     pub fn head(&self, q: usize) -> Option<&Packet> {
-        let meta = &self.meta[q];
-        if meta.len == 0 {
-            return None;
-        }
-        Some(&self.slots[q * self.capacity + meta.head as usize])
+        (self.len[q] > 0).then(|| &self.slots[q * self.capacity + self.meta[q].head as usize])
     }
 
     /// Records one occupancy sample point for *every* queue (call once
-    /// per cycle). O(1): the per-queue sums catch up lazily on the next
-    /// mutation or statistics read.
+    /// per cycle). O(1): a queue's integral reads the counter only when
+    /// a packet enters or leaves it.
     #[inline]
     pub fn tick(&mut self) {
         self.samples += 1;
@@ -224,7 +204,7 @@ impl QueueArena {
 
     /// Packets carried over queue `q`'s link so far.
     pub fn carried(&self, q: usize) -> u64 {
-        self.meta[q].carried
+        u64::from(self.meta[q].carried)
     }
 
     /// Largest occupancy ever observed on queue `q`.
@@ -233,32 +213,28 @@ impl QueueArena {
     }
 
     /// Mean occupancy of queue `q` over all sample points (0.0 when never
-    /// sampled) — same value the eager per-cycle walk would have
-    /// computed, including the pending unflushed span.
+    /// sampled) — the same value the eager per-cycle walk would have
+    /// computed.
     pub fn mean_occupancy(&self, q: usize) -> f64 {
         if self.samples == 0 {
             return 0.0;
         }
-        let meta = &self.meta[q];
-        let pending = self.samples - meta.flushed_at;
-        let total = meta.occupancy_sum + meta.len as u64 * pending;
-        total as f64 / self.samples as f64
+        let open = self.len[q] as u64 * self.samples;
+        self.meta[q].occ.wrapping_add(open) as f64 / self.samples as f64
     }
 }
 
 /// Per-link bookkeeping for the reservation table, mirroring
-/// [`QueueMeta`]'s lazy-occupancy scheme so wormhole statistics come out
-/// in the same units as store-and-forward queue statistics.
+/// [`QueueMeta`]'s occupancy integral so wormhole statistics come out in
+/// the same units as store-and-forward queue statistics.
 #[derive(Debug, Clone, Copy, Default)]
 struct ResMeta {
     /// Lanes of this link currently held by worms.
     held: u16,
     /// Largest `held` ever observed.
     high_water: u16,
-    /// Cumulative held-lane count over flushed sample points.
-    occupancy_sum: u64,
-    /// Shared-sample-counter value at the last flush.
-    flushed_at: u64,
+    /// Release-time minus grant-time sample counters, wrapping.
+    occ: u64,
     /// Flits this link has carried.
     carried: u64,
 }
@@ -268,7 +244,7 @@ struct ResMeta {
 /// head claims one lane per traversed link, holding it until the tail
 /// passes (or the worm is killed). Where the arena buffers whole packets,
 /// the table records only *who holds what* — a lane slot stores the
-/// holding worm's id, and a per-link record keeps the same lazy
+/// holding worm's id, and a per-link record keeps the same
 /// occupancy/high-water/carried statistics the store-and-forward path
 /// reports, so both switching modes share one statistics vocabulary.
 ///
@@ -334,23 +310,11 @@ impl ReservationTable {
         self.meta[q].held as usize >= self.lanes
     }
 
-    /// Credits the link's current held count for all sample points since
-    /// its last mutation (same lazy scheme as [`QueueArena`]).
-    #[inline]
-    fn flush_occupancy(meta: &mut ResMeta, samples: u64) {
-        let pending = samples - meta.flushed_at;
-        if pending > 0 {
-            meta.occupancy_sum += meta.held as u64 * pending;
-            meta.flushed_at = samples;
-        }
-    }
-
     /// Claims a free lane of link `q` for `worm`; returns the global lane
     /// slot (`q * lanes + lane`), or `None` when every lane is held.
     #[inline]
     pub fn reserve(&mut self, q: usize, worm: u32) -> Option<usize> {
         debug_assert_ne!(worm, Self::FREE, "the FREE sentinel is not a worm id");
-        let samples = self.samples;
         let meta = &mut self.meta[q];
         if meta.held as usize >= self.lanes {
             return None;
@@ -360,7 +324,7 @@ impl ReservationTable {
             .iter()
             .position(|&h| h == Self::FREE)
             .expect("held < lanes implies a free lane");
-        Self::flush_occupancy(meta, samples);
+        meta.occ = meta.occ.wrapping_sub(self.samples);
         meta.held += 1;
         meta.high_water = meta.high_water.max(meta.held);
         self.holder[base + lane] = worm;
@@ -372,12 +336,19 @@ impl ReservationTable {
     /// [`reserve`]: ReservationTable::reserve
     #[inline]
     pub fn release(&mut self, slot: usize) {
+        self.release_carrying(slot, 0);
+    }
+
+    /// Releases the lane at global `slot` and counts the `flits` it
+    /// carried while held on its link's carried total.
+    #[inline]
+    pub(crate) fn release_carrying(&mut self, slot: usize, flits: u64) {
         debug_assert_ne!(self.holder[slot], Self::FREE, "releasing a free lane");
         self.holder[slot] = Self::FREE;
-        let samples = self.samples;
         let meta = &mut self.meta[slot / self.lanes];
-        Self::flush_occupancy(meta, samples);
+        meta.occ = meta.occ.wrapping_add(self.samples);
         meta.held -= 1;
+        meta.carried += flits;
     }
 
     /// The worm holding the lane at global `slot`, if any.
@@ -387,13 +358,6 @@ impl ReservationTable {
         (h != Self::FREE).then_some(h)
     }
 
-    /// Counts one flit carried over link `q` (a held lane advanced its
-    /// worm by one flit this cycle).
-    #[inline]
-    pub fn carried_inc(&mut self, q: usize) {
-        self.meta[q].carried += 1;
-    }
-
     /// Records one occupancy sample point for every link (call once per
     /// cycle); O(1) like [`QueueArena::tick`].
     #[inline]
@@ -401,7 +365,7 @@ impl ReservationTable {
         self.samples += 1;
     }
 
-    /// Flits carried over link `q` so far.
+    /// Flits credited to link `q` as its lanes were released.
     pub fn carried(&self, q: usize) -> u64 {
         self.meta[q].carried
     }
@@ -412,15 +376,14 @@ impl ReservationTable {
     }
 
     /// Mean held-lane count of link `q` over all sample points (0.0 when
-    /// never sampled), including the pending unflushed span.
+    /// never sampled).
     pub fn mean_occupancy(&self, q: usize) -> f64 {
         if self.samples == 0 {
             return 0.0;
         }
         let meta = &self.meta[q];
-        let pending = self.samples - meta.flushed_at;
-        let total = meta.occupancy_sum + meta.held as u64 * pending;
-        total as f64 / self.samples as f64
+        let open = meta.held as u64 * self.samples;
+        meta.occ.wrapping_add(open) as f64 / self.samples as f64
     }
 }
 
@@ -503,13 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn metadata_record_stays_compact() {
-        // One queue's whole bookkeeping must fit in half a cache line,
-        // which the arena's memory behavior depends on.
-        assert!(std::mem::size_of::<QueueMeta>() <= 32);
-    }
-
-    #[test]
     fn carried_counts_accumulate_per_queue() {
         // `pop_carried` is the only carry path (the separate
         // `record_carry` was removed as dead); counts must stay
@@ -544,8 +500,8 @@ mod tests {
     fn occupancy_survives_a_long_idle_span_then_a_mutation() {
         // The fault-epoch scenario: a queue sits untouched behind a downed
         // link for many cycles (only `tick` advances), then the repair
-        // lets it drain. The lazy flush must credit the standing length
-        // for every idle sample before applying the mutation.
+        // lets it drain. Every idle sample must count the standing
+        // length, and the mutation must not rewrite them.
         let mut a = QueueArena::new(1, 4);
         a.push(0, pkt(1));
         a.push(0, pkt(2));
@@ -618,11 +574,13 @@ mod tests {
     #[test]
     fn reservation_carried_counts_flits_not_lanes() {
         let mut t = ReservationTable::new(2, 1);
-        t.reserve(0, 1).unwrap();
-        // A held lane carries one flit per cycle it advances.
-        t.carried_inc(0);
-        t.carried_inc(0);
-        t.carried_inc(1);
+        // A lane's flits are counted when it is released.
+        let a = t.reserve(0, 1).unwrap();
+        t.release_carrying(a, 2);
+        let b = t.reserve(1, 1).unwrap();
+        t.release_carrying(b, 1);
+        let c = t.reserve(0, 2).unwrap();
+        t.release(c);
         assert_eq!(t.carried(0), 2);
         assert_eq!(t.carried(1), 1);
     }
@@ -631,6 +589,115 @@ mod tests {
     #[should_panic]
     fn reservation_zero_lanes_rejected() {
         let _ = ReservationTable::new(1, 0);
+    }
+
+    /// The arena's model: one `VecDeque` per queue with eagerly kept
+    /// counters and a per-tick occupancy sum.
+    struct EagerQueues {
+        capacity: usize,
+        queues: Vec<std::collections::VecDeque<u32>>,
+        high_water: Vec<usize>,
+        carried: Vec<u64>,
+        sums: Vec<u64>,
+        samples: u64,
+    }
+
+    impl EagerQueues {
+        fn new(queues: usize, capacity: usize) -> Self {
+            EagerQueues {
+                capacity,
+                queues: vec![Default::default(); queues],
+                high_water: vec![0; queues],
+                carried: vec![0; queues],
+                sums: vec![0; queues],
+                samples: 0,
+            }
+        }
+
+        fn tick(&mut self) {
+            for (sum, queue) in self.sums.iter_mut().zip(&self.queues) {
+                *sum += queue.len() as u64;
+            }
+            self.samples += 1;
+        }
+
+        fn mean_occupancy(&self, q: usize) -> f64 {
+            if self.samples == 0 {
+                0.0
+            } else {
+                self.sums[q] as f64 / self.samples as f64
+            }
+        }
+    }
+
+    iadm_check::check! {
+        /// Random push/pop/pop_carried/tick sequences, with idle spans of
+        /// 10^4 ticks and a clear-and-prepare reuse partway through, agree
+        /// with the eager model after every operation: lengths, fullness,
+        /// heads, high-water marks, carried counts and the bits of the
+        /// mean occupancy.
+        fn arena_matches_an_eager_model(g; cases = 64) {
+            let mut queues = g.usize_in(1..=3);
+            let mut a = QueueArena::new(queues, g.usize_in(1..=6));
+            let mut model = EagerQueues::new(queues, a.capacity());
+            let ops = g.usize_in(0..=200);
+            let reuse_at = g.usize_in(0..=ops);
+            for op in 0..ops {
+                if op == reuse_at {
+                    for q in 0..queues {
+                        a.clear(q);
+                    }
+                    queues = g.usize_in(1..=3);
+                    a.prepare(queues, g.usize_in(1..=6));
+                    model = EagerQueues::new(queues, a.capacity());
+                }
+                let q = g.usize_in(0..=queues - 1);
+                match g.usize_in(0..=5) {
+                    0 | 1 => {
+                        let room = model.queues[q].len() < model.capacity;
+                        iadm_check::check_assert_eq!(a.push(q, pkt(op as u64)), room);
+                        if room {
+                            model.queues[q].push_back(op as u32);
+                            model.high_water[q] = model.high_water[q].max(model.queues[q].len());
+                        }
+                    }
+                    2 => iadm_check::check_assert_eq!(
+                        a.pop(q).map(|p| p.dest),
+                        model.queues[q].pop_front()
+                    ),
+                    3 => {
+                        if let Some(dest) = model.queues[q].pop_front() {
+                            model.carried[q] += 1;
+                            iadm_check::check_assert_eq!(a.pop_carried(q).dest, dest);
+                        }
+                    }
+                    4 => {
+                        a.tick();
+                        model.tick();
+                    }
+                    _ => {
+                        let span = if g.bool_with(0.2) { 10_000 } else { g.usize_in(1..=8) };
+                        for _ in 0..span {
+                            a.tick();
+                            model.tick();
+                        }
+                    }
+                }
+                for q in 0..queues {
+                    let queue = &model.queues[q];
+                    iadm_check::check_assert_eq!(a.len(q), queue.len());
+                    iadm_check::check_assert_eq!(a.is_empty(q), queue.is_empty());
+                    iadm_check::check_assert_eq!(a.is_full(q), queue.len() >= model.capacity);
+                    iadm_check::check_assert_eq!(a.head(q).map(|p| p.dest), queue.front().copied());
+                    iadm_check::check_assert_eq!(a.high_water(q), model.high_water[q]);
+                    iadm_check::check_assert_eq!(a.carried(q), model.carried[q]);
+                    iadm_check::check_assert_eq!(
+                        a.mean_occupancy(q).to_bits(),
+                        model.mean_occupancy(q).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     iadm_check::check! {

@@ -472,8 +472,11 @@ impl Reference {
             }
             self.next_event += 1;
             self.stats.fault_events += 1;
+            let idx = event.link.flat_index(size);
+            // A statically blocked link never went down on the timeline,
+            // so it has no outage for a repair to end.
             let flipped = if event.up {
-                self.blockages.unblock(event.link)
+                self.down_since[idx].is_some() && self.blockages.unblock(event.link)
             } else {
                 self.blockages.block(event.link)
             };
@@ -481,7 +484,6 @@ impl Reference {
                 continue;
             }
             changed = true;
-            let idx = event.link.flat_index(size);
             if event.up {
                 self.stats.repair_events += 1;
                 self.tags.note_repair();
@@ -766,6 +768,39 @@ mod tests {
                 };
                 assert_agree(&run, &mut scratch);
             }
+        }
+    }
+
+    #[test]
+    fn a_statically_blocked_link_ignores_its_timeline_events() {
+        // An `mtbf` timeline fails and repairs every link, the statically
+        // blocked one too: its failures find it blocked and its repairs
+        // must not lift the static fault, so it is never down on the
+        // timeline and dropping its events leaves the outage totals.
+        let mut scratch = SimScratch::default();
+        let config = config(8, 2000, 0.35, 0xB10C);
+        let blocked = Link::minus(0, 1);
+        let timeline = FaultTimeline::mtbf(config.size, 7, 40, 15, 2000);
+        assert!(timeline.events().iter().any(|e| e.link == blocked && e.up));
+        let others = timeline.events().iter().filter(|e| e.link != blocked);
+        let others = FaultTimeline::from_events(config.size, others.copied());
+        let mut blockages = BlockageMap::new(config.size);
+        blockages.block(blocked);
+        for policy in ALL_POLICIES {
+            let run = Run {
+                blockages: blockages.clone(),
+                timeline: timeline.clone(),
+                ..Run::new(config, policy)
+            };
+            let stats = assert_agree(&run, &mut scratch);
+            assert_eq!(stats.fault_events, timeline.len() as u64);
+            let without = Run {
+                timeline: others.clone(),
+                ..run
+            };
+            let without = without.simulator(&mut scratch);
+            assert_eq!(stats.link_downtime_cycles, without.link_downtime_cycles);
+            assert_eq!(stats.links_failed, without.links_failed);
         }
     }
 

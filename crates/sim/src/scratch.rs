@@ -11,7 +11,7 @@ use iadm_topology::{Link, Size};
 use std::collections::VecDeque;
 
 /// The reusable buffers of a [`Simulator`](crate::Simulator): the queue
-/// arena, source queues, per-switch loads and occupancy bits, SSDT
+/// arena, source queues, per-switch occupancy bits, SSDT
 /// switch states, sticky d-choice memory, per-link outage clocks and
 /// the TSDT tag-cache lines.
 ///
@@ -23,22 +23,24 @@ use std::collections::VecDeque;
 /// byte-identical statistics to new ones.
 ///
 /// A worker holds its scratch between runs, so a run keeps only the
-/// buffers it uses: one that never reads the tag cache, keeps no outage
-/// clocks, no sticky memory or no flat arena (wormhole switching)
-/// releases them, and a source queue that grew past a small allocation
-/// is freed at the end of the run. What a worker holds is
-/// then what the run in progress would have allocated anyway.
+/// buffers it uses: one that keeps no outage clocks, no sticky memory or
+/// no flat arena (wormhole switching) releases them, and a source queue
+/// that grew past a small allocation is freed at the end of the run.
+/// What a worker holds is then what the run in progress would have
+/// allocated anyway, plus the TSDT tag-cache lines of the largest
+/// `TsdtSender` run it served: they are kept through runs that never
+/// read them, because freeing and re-allocating megabytes per run cost
+/// more peak memory than holding them (see `TagCache`).
 ///
 /// [`Simulator::run_into`]: crate::Simulator::run_into
 #[derive(Debug, Default)]
 pub struct SimScratch {
     pub(crate) queues: QueueArena,
-    pub(crate) switch_load: Vec<u32>,
     pub(crate) switch_bits: Vec<u64>,
     /// One bit per `(stage, switch)`, laid out like `switch_bits`: set
-    /// the first time the switch's occupancy bit is set, so it marks
-    /// every switch with a queued packet, a non-zero queue counter or a
-    /// non-zero load since the run began.
+    /// whenever the switch's occupancy bit is, so it marks every switch
+    /// with a queued packet or a non-zero queue counter since the run
+    /// began.
     pub(crate) touched: Vec<u64>,
     pub(crate) live_scratch: Vec<u32>,
     pub(crate) stage_load: Vec<u64>,
@@ -84,7 +86,6 @@ impl SimScratch {
         let (n, stages) = (size.n(), size.stages());
         let words = n.div_ceil(64);
         self.queues.prepare(Link::slot_count(size), needs.capacity);
-        fit(&mut self.switch_load, stages * n, 0);
         fit(&mut self.switch_bits, stages * words, 0);
         fit(&mut self.touched, stages * words, 0);
         self.live_scratch.reserve(n);
@@ -117,20 +118,14 @@ impl SimScratch {
     }
 
     /// Cleans what a run over `size` left behind, so the buffers can be
-    /// [`prepare`](SimScratch::prepare)d for the next run. `arena` says
-    /// whether the run buffered packets in the flat arena.
-    pub(crate) fn reset(&mut self, size: Size, arena: bool) {
+    /// [`prepare`](SimScratch::prepare)d for the next run. Only a run
+    /// that buffered packets in the flat arena sets touched bits.
+    pub(crate) fn reset(&mut self, size: Size) {
         let n = size.n();
         for (w, word) in self.touched.iter_mut().enumerate() {
-            if *word == 0 {
-                continue;
-            }
             for switch in switches_of(w, std::mem::take(word), n) {
-                self.switch_load[switch] = 0;
-                if arena {
-                    for q in 3 * switch..3 * switch + 3 {
-                        self.queues.clear(q);
-                    }
+                for q in 3 * switch..3 * switch + 3 {
+                    self.queues.clear(q);
                 }
             }
             self.switch_bits[w] = 0;

@@ -48,9 +48,13 @@ pub enum TagRepair {
 /// a timeline of `u32::MAX` events or more, so neither can wrap.
 ///
 /// The lines outlive a run when the simulator's buffers are reused
-/// ([`SimScratch`](crate::SimScratch)): each run starts at a map epoch
-/// above every epoch stamped before, so an earlier run's line can only
-/// miss, exactly like a cold one.
+/// ([`SimScratch`](crate::SimScratch)), runs of policies that never
+/// consult the cache included: each run starts at a map epoch above
+/// every epoch stamped before, so an earlier run's line can only miss,
+/// exactly like a cold one. Keeping them spares a worker that alternates
+/// policies a free and re-allocation of megabytes per run; under glibc
+/// that churn raised the dynamic mmap threshold and fragmented the heap
+/// into a higher peak than the held lines cost.
 #[derive(Debug, Default)]
 pub(crate) struct TagCache {
     /// Cache lines per source (a power of two; 0 when the cache is off).
@@ -108,7 +112,8 @@ impl TagCache {
     /// Readies the cache for a run over `size` whose timeline holds
     /// `events` fail/repair events: cold for every lookup, with the
     /// default repair mode. `on` is whether the run's policy consults
-    /// the cache; when it does not, the lines are released.
+    /// the cache; when it does not, the lines are kept as they are for a
+    /// later run that does.
     ///
     /// The map epoch moves past every epoch an earlier run stamped, so
     /// lines left from it miss. They are zeroed only when this run's
@@ -131,9 +136,7 @@ impl TagCache {
         self.repair_epoch = 0;
         self.repair = TagRepair::default();
         if !on {
-            // Not held through a run that never reads it.
             self.slots = 0;
-            self.lines = Vec::new();
             return;
         }
         self.slots = size.n().min(Self::MAX_SLOTS);
@@ -375,11 +378,17 @@ mod tests {
     }
 
     #[test]
-    fn a_cache_the_policy_does_not_consult_holds_no_lines() {
+    fn a_cache_the_policy_does_not_consult_keeps_lines_that_only_miss() {
         let size = Size::new(1024).unwrap();
         let mut cache = cold(size, 0);
+        cache.put(1, 2, Some(3));
+        // A run that does not consult the cache keeps its lines...
         cache.prepare(size, 5, false);
-        assert_eq!(cache.lines.capacity(), 0);
+        assert_eq!(cache.lines.len(), 4 << 16);
+        // ...and the next run that does finds them stale.
+        cache.prepare(size, 5, true);
+        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
+        // An off cache accepts any timeline; the epoch budget still holds.
         cache.prepare(size, u32::MAX as usize, false);
         assert_eq!(cache.epoch, 1);
     }

@@ -16,15 +16,11 @@
 //!
 //! The engine polls a source **every cycle**, after the cycle's
 //! delivery and loss hooks, and its statistics must be a pure function
-//! of the run's seeds. Three rules keep it so:
+//! of the run's seeds. Two rules keep it so:
 //!
 //! 1. `poll` on a cycle where nothing is due must be a **strict no-op**:
 //!    no RNG draws, no injections.
-//! 2. `next_wake(now)` must never be later than the source's next
-//!    non-no-op poll cycle. Returning `now` itself is always safe. The
-//!    engine does not call it (it was the schedule input of the deleted
-//!    event-driven engine); the sources' own tests check it.
-//! 3. All randomness comes from the `rng` handed in — a dedicated
+//! 2. All randomness comes from the `rng` handed in — a dedicated
 //!    workload stream, disjoint from the engine's traffic stream — and
 //!    hooks fire in the engine's canonical phase order, so the draw
 //!    sequence is fixed by the seeds.
@@ -129,11 +125,6 @@ pub trait WorkloadSource: std::fmt::Debug {
     /// Sources abort the operation and account it; they may arm a
     /// retry/think timer but must not inject from this hook.
     fn on_lost(&mut self, op: u32, cycle: u64, rng: &mut StdRng);
-
-    /// The earliest cycle `>= now` at which `poll` could do work,
-    /// ignoring future deliveries (a scheduler re-arms after every hook).
-    /// `None` means "nothing scheduled — wake me only via hooks".
-    fn next_wake(&self, now: u64) -> Option<u64>;
 
     /// Folds this source's final accounting into `out` at the end of a
     /// run.

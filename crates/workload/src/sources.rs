@@ -67,11 +67,6 @@ impl WorkloadSource for OpenLoopSource {
 
     fn on_lost(&mut self, _op: u32, _cycle: u64, _rng: &mut StdRng) {}
 
-    fn next_wake(&self, now: u64) -> Option<u64> {
-        // One Bernoulli draw per source per cycle: due every cycle.
-        Some(now)
-    }
-
     fn collect(&self, _out: &mut WorkloadStats) {}
 }
 
@@ -235,10 +230,6 @@ impl WorkloadSource for ClosedLoop {
         )));
     }
 
-    fn next_wake(&self, now: u64) -> Option<u64> {
-        self.timers.peek().map(|Reverse((due, _))| (*due).max(now))
-    }
-
     fn collect(&self, out: &mut WorkloadStats) {
         *out = self.stats.clone();
         out.live = self.ops.len() as u64;
@@ -355,10 +346,6 @@ impl WorkloadSource for Collective {
         self.timer = Some(cycle + 1 + think_sample(self.think, rng));
     }
 
-    fn next_wake(&self, now: u64) -> Option<u64> {
-        self.timer.map(|due| due.max(now))
-    }
-
     fn collect(&self, out: &mut WorkloadStats) {
         *out = self.stats.clone();
         out.live = u64::from(self.op != NO_OP);
@@ -426,10 +413,6 @@ impl WorkloadSource for Adversarial {
 
     fn on_lost(&mut self, _op: u32, _cycle: u64, _rng: &mut StdRng) {}
 
-    fn next_wake(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
     fn collect(&self, _out: &mut WorkloadStats) {}
 }
 
@@ -475,7 +458,6 @@ mod tests {
         let mut idle = Vec::new();
         wl.poll(1, &mut rng, &mut idle);
         assert!(idle.is_empty());
-        assert_eq!(wl.next_wake(1), None);
 
         // Request leg lands at cycle 4 -> one response packet emerges,
         // flowing server -> client.
@@ -493,9 +475,6 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.latency_max, 9);
         assert!(stats.is_conserved());
-
-        // Think time 0: the timer re-arms at cycle 9.
-        assert_eq!(wl.next_wake(9), Some(9));
     }
 
     #[test]
@@ -530,8 +509,6 @@ mod tests {
         assert_eq!(stats.aborted, 1);
         assert_eq!(stats.live, 0);
         assert!(stats.is_conserved());
-        // The client went back to thinking, not into limbo.
-        assert_eq!(wl.next_wake(4), Some(4));
     }
 
     #[test]
@@ -598,8 +575,6 @@ mod tests {
         assert_eq!(stats.issued, 1);
         assert_eq!(stats.aborted, 1);
         assert!(stats.is_conserved());
-        // A fresh instance is scheduled.
-        assert!(wl.next_wake(3).is_some());
     }
 
     #[test]
@@ -628,6 +603,5 @@ mod tests {
         wl.poll(0, &mut rng, &mut out);
         assert_eq!(out.len(), 8);
         assert!(out.iter().all(|inj| inj.dest == 5 && inj.op == NO_OP));
-        assert_eq!(wl.next_wake(7), Some(7));
     }
 }
