@@ -1327,6 +1327,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sweep_reports_queue_slots_past_the_u32_handles() {
+        // 3·2048·11 links × 63,551 packets overflow the queue arena's
+        // u32 handles: an error from validation, before any allocation.
+        let args: Vec<String> = [
+            "sweep", "--n", "2048", "--cycles", "50", "--queues", "63551",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("queue slots"), "{err}");
+    }
+
     /// Runs `sweep` with the given extra flags, as strings.
     fn sweep(extra: &[&str]) -> Result<(), String> {
         let mut args: Vec<String> = ["sweep", "--spec", "smoke", "--threads", "2"]

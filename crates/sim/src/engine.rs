@@ -56,11 +56,12 @@ impl SimConfig {
     /// representable in the 32 bits [`Packet`] stores `injected_at` in
     /// (a longer run would silently truncate injection timestamps and
     /// underflow the latency subtraction), `queue_capacity` in
-    /// `1..=u16::MAX` (the arenas store ring offsets as `u16`), and the
+    /// `1..=u16::MAX` (the arenas store ring offsets as `u16`), the
     /// `3·N·n` links of the network indexable in 32 bits (the outage
-    /// clocks list failed links by `u32` flat index). It allocates
-    /// nothing, so an oversized network is an `Err` here rather than an
-    /// allocator abort later.
+    /// clocks list failed links by `u32` flat index), and their
+    /// `3·N·n·queue_capacity` queue slots too (the queue arena's packet
+    /// handles are `u32`). It allocates nothing, so an oversized network
+    /// is an `Err` here rather than an allocator abort later.
     pub fn validate(&self) -> Result<(), String> {
         if !self.offered_load.is_finite() {
             return Err(format!(
@@ -91,7 +92,12 @@ impl SimConfig {
                 u16::MAX
             ));
         }
-        index_fits_u32(Link::slot_count(self.size), 1, "links")
+        index_fits_u32(Link::slot_count(self.size), 1, "links")?;
+        index_fits_u32(
+            Link::slot_count(self.size),
+            self.queue_capacity,
+            "queue slots",
+        )
     }
 }
 
@@ -924,7 +930,9 @@ impl Simulator {
                 capacity: config.queue_capacity,
                 dynamic,
                 events: timeline.len(),
-                tags: policy == RoutingPolicy::TsdtSender,
+                // On a clean map every sender tag is all-C (see
+                // `sender_tag`), so a fault-free TSDT run needs no cache.
+                tags: policy == RoutingPolicy::TsdtSender && (dynamic || !blockages.is_empty()),
                 sticky: matches!(policy, RoutingPolicy::DChoice { sticky: true, .. }),
             },
         );
@@ -1385,7 +1393,15 @@ impl Simulator {
     /// disconnected") fills the line. A miss caused purely by an
     /// intervening link repair is the repair-aware re-tag path, counted
     /// in `retags_on_repair`.
+    ///
+    /// A run with no blockage and no timeline has no cache: REROUTE
+    /// starts from the all-C tag and bends it only around a blockage,
+    /// and by Theorem 3.1 the all-C path reaches `dest`, so every tag
+    /// has zero state bits.
     fn sender_tag(&mut self, source: usize, dest: usize) -> Option<u32> {
+        if !self.tag_cache.is_on() {
+            return Some(0);
+        }
         match self.tag_cache.lookup(source, dest) {
             Lookup::Hit(outcome) => return outcome,
             Lookup::Miss => {}
@@ -1546,17 +1562,16 @@ impl Simulator {
                         continue;
                     }
                     // Peek only the routing fields through the borrow; the
-                    // 16-byte packet is copied once, inside pop -> push.
+                    // packet itself stays put and its handle moves.
                     let head = self.queues.head(q).expect("non-empty queue has a head");
                     let (dest, tag_state) = (head.dest, head.tag_state());
                     let (mut ctx, queues) = self.policy_ctx();
                     match ctx.decide(queues, stage + 1, to, dest, tag_state) {
                         Decision::Enqueue(next_kind) => {
-                            let packet = self.queues.pop_carried(q);
-                            self.stage_load[stage] -= 1;
+                            // decide() guaranteed space.
                             let next_q = (row + n + to) * 3 + next_kind.index();
-                            let ok = self.queues.push(next_q, packet);
-                            debug_assert!(ok, "decide() guaranteed space");
+                            self.queues.forward_carried(q, next_q);
+                            self.stage_load[stage] -= 1;
                             self.mark_busy(stage + 1, to);
                             self.stage_load[stage + 1] += 1;
                             self.accepted[to] += 1;
@@ -2210,7 +2225,9 @@ mod tests {
     fn flat_link_indices_must_fit_32_bits() {
         // 3·N·n links: 2^25 switches per stage give 2.5e9 (fits), 2^26
         // give 5.2e9 (does not). Only `validate` runs: nothing is built.
+        // One packet per link keeps the queue slots at the link count.
         let mut cfg = config(8, 0.4, 100);
+        cfg.queue_capacity = 1;
         cfg.size = Size::new(1 << 25).unwrap();
         assert!(cfg.validate().is_ok());
         cfg.size = Size::new(1 << 26).unwrap();
@@ -2238,6 +2255,24 @@ mod tests {
             bad.queue_capacity = capacity;
             assert_eq!(bad.validate().is_ok(), ok, "capacity {capacity}");
         }
+    }
+
+    #[test]
+    fn queue_slots_must_fit_the_arenas_u32_handles() {
+        // (2^16 + 1)(2^16 - 1) = u32::MAX exactly; 2^16 · 2^16 is one past.
+        assert!(index_fits_u32(65_537, 65_535, "queue slots").is_ok());
+        let err = index_fits_u32(65_536, 65_536, "queue slots").unwrap_err();
+        assert!(err.contains("4294967296 queue slots"), "{err}");
+        // `3·N·n` is even, so no network has exactly u32::MAX slots. At
+        // N = 2048 (67,584 links) capacity 63,550 is the last that fits
+        // (4095 slots short) and 63,551 the first that does not.
+        let mut config = config(8, 0.4, 100);
+        config.size = Size::new(2048).unwrap();
+        config.queue_capacity = 63_550;
+        assert!(config.validate().is_ok());
+        config.queue_capacity = 63_551;
+        let err = config.validate().unwrap_err();
+        assert!(err.contains("queue slots"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The link-buffer arena: every bounded FIFO of the network in one flat
-//! allocation of fixed-capacity ring buffers.
+//! The link-buffer arena: every bounded FIFO of the network as a
+//! fixed-capacity ring of 4-byte handles into one packet pool.
 //!
 //! The simulator owns `3 N n` output-link buffers (one per link slot,
 //! indexed exactly like [`iadm_topology::Link::flat_index`]). Keeping
@@ -10,7 +10,14 @@
 //! tests and the policies' occupancy reads touch — and the rest of each
 //! queue's bookkeeping ([`QueueMeta`]) in a 16-byte record that only a
 //! push or pop touches. Slot validity is tracked by the ring length, so
-//! packets stay at their bare 16 bytes and a pop writes no tombstone.
+//! a pop writes no tombstone.
+//!
+//! A ring slot holds a `u32` handle, not a packet: the packets sit in one
+//! pool that holds only the live ones (plus freed entries, reused last
+//! freed first), so a run that queues few packets touches few pool
+//! entries and few ring pages. A packet is written once when it enters
+//! the fabric and read once when it leaves; a hop between links
+//! ([`QueueArena::forward_carried`]) moves its handle.
 //!
 //! Occupancy accounting: the eager per-cycle walk added every queue's
 //! length to its sum once per cycle, so the sum counts the sample points
@@ -44,17 +51,23 @@ const _: () = assert!(std::mem::size_of::<QueueMeta>() == 16);
 ///
 /// The simulator reuses one arena across runs: it clears the queues a
 /// run used and re-dimensions the arena for the next run, without
-/// writing the rest of the slab again.
+/// writing the rest of the rings again.
 #[derive(Debug, Clone, Default)]
 pub struct QueueArena {
     capacity: usize,
-    /// `queues * capacity` packet slots; only the `len` slots starting at
-    /// each queue's `head` (mod capacity) are live.
-    slots: Vec<Packet>,
+    /// `queues * capacity` packet handles; only the `len` slots starting
+    /// at each queue's `head` (mod capacity) are live.
+    slots: Vec<u32>,
     /// Current length of each queue.
     len: Vec<u16>,
     /// One bookkeeping record per queue.
     meta: Vec<QueueMeta>,
+    /// The packets the handles point at. Reserved for every slot at
+    /// [`prepare`](QueueArena::prepare), so it grows without a copy; it
+    /// only ever holds the most packets queued at once.
+    pool: Vec<Packet>,
+    /// Pool entries no live handle points at, the last freed on top.
+    free: Vec<u32>,
     /// Shared sample counter (one tick per simulated cycle).
     samples: u64,
 }
@@ -65,7 +78,8 @@ impl QueueArena {
     /// # Panics
     ///
     /// Panics if `capacity == 0` or `capacity > u16::MAX` (the ring
-    /// offsets are stored as `u16`).
+    /// offsets are stored as `u16`), or if the `queues * capacity` slots
+    /// overflow the arena's `u32` handles.
     pub fn new(queues: usize, capacity: usize) -> Self {
         let mut arena = QueueArena::default();
         arena.prepare(queues, capacity);
@@ -77,16 +91,22 @@ impl QueueArena {
     /// already be empty with zeroed counters: a new arena, or one whose
     /// used queues have each been [`clear`](QueueArena::clear)ed. Slots
     /// are not rewritten, since a ring's length says which of them are
-    /// live.
+    /// live, and the pool starts empty.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or `capacity > u16::MAX`.
+    /// Panics if `capacity == 0`, `capacity > u16::MAX`, or
+    /// `queues * capacity > u32::MAX`.
     pub(crate) fn prepare(&mut self, queues: usize, capacity: usize) {
         assert!(capacity > 0, "queue capacity must be positive");
         assert!(
             capacity <= u16::MAX as usize,
             "queue capacity {capacity} exceeds the arena's u16 ring offsets"
+        );
+        let slots = queues * capacity;
+        assert!(
+            slots <= u32::MAX as usize,
+            "{slots} queue slots exceed the arena's u32 handles"
         );
         debug_assert!(
             self.len.iter().all(|&l| l == 0)
@@ -98,13 +118,16 @@ impl QueueArena {
         );
         self.capacity = capacity;
         self.samples = 0;
-        crate::scratch::fit(&mut self.slots, queues * capacity, Packet::new(0, 0));
+        crate::scratch::fit(&mut self.slots, slots, 0);
         crate::scratch::fit(&mut self.len, queues, 0);
         crate::scratch::fit(&mut self.meta, queues, QueueMeta::default());
+        crate::scratch::reserve_empty(&mut self.pool, slots);
+        crate::scratch::reserve_empty(&mut self.free, slots);
     }
 
     /// Empties queue `q` and zeroes its counters (high-water mark,
-    /// occupancy integral, carried count).
+    /// occupancy integral, carried count). Its packets' pool entries
+    /// return at the next [`prepare`](QueueArena::prepare).
     pub(crate) fn clear(&mut self, q: usize) {
         self.len[q] = 0;
         self.meta[q] = QueueMeta::default();
@@ -142,10 +165,61 @@ impl QueueArena {
     /// unchanged) when full.
     #[inline]
     pub fn push(&mut self, q: usize, packet: Packet) -> bool {
-        let len = self.len[q];
-        if len as usize >= self.capacity {
+        if self.is_full(q) {
             return false;
         }
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.pool[handle as usize] = packet;
+                handle
+            }
+            None => {
+                // `prepare` reserved a pool entry per slot, so this never
+                // reallocates, and the handle fits (`slots <= u32::MAX`).
+                self.pool.push(packet);
+                (self.pool.len() - 1) as u32
+            }
+        };
+        self.put_tail(q, handle);
+        true
+    }
+
+    /// Dequeues the head packet of queue `q`, if any.
+    #[inline]
+    pub fn pop(&mut self, q: usize) -> Option<Packet> {
+        (self.len[q] > 0).then(|| self.take_packet(q))
+    }
+
+    /// Dequeues the head packet of queue `q` and counts it as carried
+    /// over the queue's link, in one touch of the metadata record. The
+    /// queue must be non-empty.
+    #[inline]
+    pub fn pop_carried(&mut self, q: usize) -> Packet {
+        debug_assert!(self.len[q] > 0, "pop_carried on an empty queue");
+        self.meta[q].carried += 1;
+        self.take_packet(q)
+    }
+
+    /// Moves the head packet of queue `q` to the tail of queue `next_q`,
+    /// counting it as carried over `q`'s link: [`pop_carried`] then
+    /// [`push`] in effect, but the packet stays where it is and only its
+    /// handle moves. `q` must be non-empty and `next_q` not full.
+    ///
+    /// [`pop_carried`]: QueueArena::pop_carried
+    /// [`push`]: QueueArena::push
+    #[inline]
+    pub(crate) fn forward_carried(&mut self, q: usize, next_q: usize) {
+        debug_assert!(self.len[q] > 0, "forward_carried from an empty queue");
+        debug_assert!(!self.is_full(next_q), "forward_carried into a full queue");
+        self.meta[q].carried += 1;
+        let handle = self.take_head(q);
+        self.put_tail(next_q, handle);
+    }
+
+    /// Appends `handle` to the non-full queue `q`.
+    #[inline]
+    fn put_tail(&mut self, q: usize, handle: u32) {
+        let len = self.len[q];
         let meta = &mut self.meta[q];
         // head + len < 2 * capacity, so one compare-subtract wraps the
         // ring without a hardware divide.
@@ -156,29 +230,12 @@ impl QueueArena {
         self.len[q] = len + 1;
         meta.high_water = meta.high_water.max(len + 1);
         meta.occ = meta.occ.wrapping_sub(self.samples);
-        self.slots[q * self.capacity + pos] = packet;
-        true
+        self.slots[q * self.capacity + pos] = handle;
     }
 
-    /// Dequeues the head packet of queue `q`, if any.
+    /// Removes the head handle of the non-empty queue `q`.
     #[inline]
-    pub fn pop(&mut self, q: usize) -> Option<Packet> {
-        (self.len[q] > 0).then(|| self.take_head(q))
-    }
-
-    /// Dequeues the head packet of queue `q` and counts it as carried
-    /// over the queue's link, in one touch of the metadata record. The
-    /// queue must be non-empty.
-    #[inline]
-    pub fn pop_carried(&mut self, q: usize) -> Packet {
-        debug_assert!(self.len[q] > 0, "pop_carried on an empty queue");
-        self.meta[q].carried += 1;
-        self.take_head(q)
-    }
-
-    /// Removes the head packet of the non-empty queue `q`.
-    #[inline]
-    fn take_head(&mut self, q: usize) -> Packet {
+    fn take_head(&mut self, q: usize) -> u32 {
         let meta = &mut self.meta[q];
         let pos = meta.head as usize;
         let next = pos + 1;
@@ -188,10 +245,22 @@ impl QueueArena {
         self.slots[q * self.capacity + pos]
     }
 
+    /// Removes the head packet of the non-empty queue `q`, freeing its
+    /// pool entry.
+    #[inline]
+    fn take_packet(&mut self, q: usize) -> Packet {
+        let handle = self.take_head(q);
+        self.free.push(handle);
+        self.pool[handle as usize]
+    }
+
     /// Peeks at the head packet of queue `q`.
     #[inline]
     pub fn head(&self, q: usize) -> Option<&Packet> {
-        (self.len[q] > 0).then(|| &self.slots[q * self.capacity + self.meta[q].head as usize])
+        (self.len[q] > 0).then(|| {
+            let handle = self.slots[q * self.capacity + self.meta[q].head as usize];
+            &self.pool[handle as usize]
+        })
     }
 
     /// Records one occupancy sample point for *every* queue (call once
@@ -631,11 +700,13 @@ mod tests {
     }
 
     iadm_check::check! {
-        /// Random push/pop/pop_carried/tick sequences, with idle spans of
-        /// 10^4 ticks and a clear-and-prepare reuse partway through, agree
-        /// with the eager model after every operation: lengths, fullness,
-        /// heads, high-water marks, carried counts and the bits of the
-        /// mean occupancy.
+        /// Random push/pop/pop_carried/forward_carried/tick sequences,
+        /// with idle spans of 10^4 ticks and a clear-and-prepare reuse
+        /// partway through, agree with the eager model after every
+        /// operation: lengths, fullness, heads, high-water marks, carried
+        /// counts and the bits of the mean occupancy. The pool holds
+        /// exactly the queued packets: its live entries number `Σ len`,
+        /// and no handle is queued twice or queued and free.
         fn arena_matches_an_eager_model(g; cases = 64) {
             let mut queues = g.usize_in(1..=3);
             let mut a = QueueArena::new(queues, g.usize_in(1..=6));
@@ -652,7 +723,7 @@ mod tests {
                     model = EagerQueues::new(queues, a.capacity());
                 }
                 let q = g.usize_in(0..=queues - 1);
-                match g.usize_in(0..=5) {
+                match g.usize_in(0..=6) {
                     0 | 1 => {
                         let room = model.queues[q].len() < model.capacity;
                         iadm_check::check_assert_eq!(a.push(q, pkt(op as u64)), room);
@@ -675,6 +746,18 @@ mod tests {
                         a.tick();
                         model.tick();
                     }
+                    5 => {
+                        let next_q = g.usize_in(0..=queues - 1);
+                        let room = model.queues[next_q].len() < model.capacity;
+                        if room && !model.queues[q].is_empty() {
+                            let dest = model.queues[q].pop_front().unwrap();
+                            model.carried[q] += 1;
+                            model.queues[next_q].push_back(dest);
+                            model.high_water[next_q] =
+                                model.high_water[next_q].max(model.queues[next_q].len());
+                            a.forward_carried(q, next_q);
+                        }
+                    }
                     _ => {
                         let span = if g.bool_with(0.2) { 10_000 } else { g.usize_in(1..=8) };
                         for _ in 0..span {
@@ -683,6 +766,16 @@ mod tests {
                         }
                     }
                 }
+                let mut handles = std::collections::HashSet::new();
+                for q in 0..queues {
+                    for i in 0..a.len(q) {
+                        let pos = (a.meta[q].head as usize + i) % a.capacity;
+                        let handle = a.slots[q * a.capacity + pos];
+                        iadm_check::check_assert!(handles.insert(handle), "handle {handle} queued twice");
+                        iadm_check::check_assert!(!a.free.contains(&handle), "handle {handle} queued and free");
+                    }
+                }
+                iadm_check::check_assert_eq!(a.pool.len() - a.free.len(), handles.len());
                 for q in 0..queues {
                     let queue = &model.queues[q];
                     iadm_check::check_assert_eq!(a.len(q), queue.len());

@@ -772,6 +772,31 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_tsdt_senders_skip_the_cache_and_agree() {
+        // With no blockage and no timeline the engine's senders tag
+        // every packet all-C without a cache; the reference still looks
+        // each tag up and runs REROUTE on a miss.
+        let mut scratch = SimScratch::default();
+        for n in [8, 64, 256] {
+            for crossbar in [false, true] {
+                for converge in [None, Some((100, 0.05))] {
+                    let run = Run {
+                        crossbar,
+                        converge,
+                        ..Run::new(
+                            config(n, 400, 0.35, 0x75D7 ^ n as u64),
+                            RoutingPolicy::TsdtSender,
+                        )
+                    };
+                    let stats = assert_agree(&run, &mut scratch);
+                    assert!(stats.injected > 0);
+                    assert_eq!((stats.reroutes, stats.refused), (0, 0));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_statically_blocked_link_ignores_its_timeline_events() {
         // An `mtbf` timeline fails and repairs every link, the statically
         // blocked one too: its failures find it blocked and its repairs

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 /// The reusable buffers of a [`Simulator`](crate::Simulator): the queue
 /// arena, source queues, per-switch occupancy bits, SSDT
 /// switch states, sticky d-choice memory, per-link outage clocks and
-/// the TSDT tag-cache lines.
+/// the TSDT tag-cache pages.
 ///
 /// [`Simulator::with_scratch`](crate::Simulator::with_scratch) takes
 /// the buffers and sizes them for its run; a new, empty scratch is what
@@ -27,10 +27,11 @@ use std::collections::VecDeque;
 /// no flat arena (wormhole switching) releases them, and a source queue
 /// that grew past a small allocation is freed at the end of the run.
 /// What a worker holds is then what the run in progress would have
-/// allocated anyway, plus the TSDT tag-cache lines of the largest
-/// `TsdtSender` run it served: they are kept through runs that never
-/// read them, because freeing and re-allocating megabytes per run cost
-/// more peak memory than holding them (see `TagCache`).
+/// allocated anyway, plus the room of the largest runs it served in the
+/// queue arena's packet pool and the TSDT tag-cache page store: those
+/// are handed back at the next run and never freed, because freeing and
+/// re-allocating megabytes per run cost more peak memory than holding
+/// them (see `TagCache`).
 ///
 /// [`Simulator::run_into`]: crate::Simulator::run_into
 #[derive(Debug, Default)]
@@ -73,7 +74,8 @@ pub(crate) struct Needs {
     pub(crate) dynamic: bool,
     /// Timeline events (the tag cache's epoch budget).
     pub(crate) events: usize,
-    /// The policy consults the tag cache.
+    /// The run's TSDT senders consult the tag cache: a `TsdtSender`
+    /// run with a blockage or a fault timeline.
     pub(crate) tags: bool,
     /// The policy keeps sticky d-choice memory.
     pub(crate) sticky: bool,
@@ -188,5 +190,17 @@ pub(crate) fn fit<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
         *v = vec![value; len];
     } else {
         v.resize(len, value);
+    }
+}
+
+/// Empties `v` and gives it room for `room` elements. A vector that is
+/// short of room is replaced by a new reservation rather than grown, so
+/// nothing is copied and the untouched part of the reservation costs
+/// address space, not memory.
+pub(crate) fn reserve_empty<T>(v: &mut Vec<T>, room: usize) {
+    v.clear();
+    if v.capacity() < room {
+        *v = Vec::new();
+        v.reserve_exact(room);
     }
 }

@@ -1,5 +1,6 @@
 //! The sender-side TSDT tag cache: memoized REROUTE outcomes, one
-//! direct-mapped line per `(source, dest mod SLOTS)`.
+//! direct-mapped line per `(source, dest mod SLOTS)`, held in pages
+//! taken on first store.
 
 use iadm_topology::Size;
 use std::mem::size_of;
@@ -42,19 +43,27 @@ pub enum TagRepair {
 /// free — stay valid forever, while refusals and bent tags from before
 /// the repair miss lazily and recompute ([`Lookup::RepairStale`]).
 ///
-/// Footprint: `N · min(N, 256)` lines of 16 bytes — 4 MiB at N = 1024,
-/// 32 MiB at N = 8192. Both epochs are `u32`: they advance only on the
-/// run's timeline fail/repair events, and [`TagCache::prepare`] rejects
-/// a timeline of `u32::MAX` events or more, so neither can wrap.
+/// Footprint: a run holds only the pages it stores to. The line space
+/// (`N · min(N, 256)` lines of 16 bytes, 32 MiB at N = 8192) is split
+/// into pages of [`PAGE_LINES`] lines (256 bytes), and a page is taken
+/// from the store on the first [`TagCache::put`] into it; a `u32` page
+/// table (64 KiB at N = 1024, 512 KiB at N = 8192, zero-allocated) maps
+/// each page of the line space to its place in the store or to none. A
+/// lookup in a page the run has not taken misses, like a cold line.
 ///
-/// The lines outlive a run when the simulator's buffers are reused
-/// ([`SimScratch`](crate::SimScratch)), runs of policies that never
-/// consult the cache included: each run starts at a map epoch above
-/// every epoch stamped before, so an earlier run's line can only miss,
-/// exactly like a cold one. Keeping them spares a worker that alternates
-/// policies a free and re-allocation of megabytes per run; under glibc
-/// that churn raised the dynamic mmap threshold and fragmented the heap
-/// into a higher peak than the held lines cost.
+/// Both epochs are `u32` and start afresh each run: they advance only
+/// on the run's timeline fail/repair events, and [`TagCache::prepare`]
+/// rejects a timeline of `u32::MAX` events or more, so neither can
+/// wrap.
+///
+/// The store outlives a run when the simulator's buffers are reused
+/// ([`SimScratch`](crate::SimScratch)): `prepare` hands the previous
+/// run's pages back by clearing the page-table entries it set, and
+/// frees nothing. A worker therefore holds the pages of the largest run
+/// it served, not the union over its runs, and never frees and
+/// re-allocates megabytes between runs; under glibc that churn raised
+/// the dynamic mmap threshold and fragmented the heap into a higher
+/// peak than the held memory costs.
 #[derive(Debug, Default)]
 pub(crate) struct TagCache {
     /// Cache lines per source (a power of two; 0 when the cache is off).
@@ -68,9 +77,23 @@ pub(crate) struct TagCache {
     repair_epoch: u32,
     /// Whether repair events advance `repair_epoch`.
     pub(crate) repair: TagRepair,
-    /// `sources * slots` lines.
-    lines: Vec<TagLine>,
+    /// Per page of the `sources * slots` line space: 0 when this run
+    /// has stored nothing in it, otherwise 1 + its index in `pages`.
+    table: Vec<u32>,
+    /// The pages this run took, in the order taken. Reserved for the
+    /// whole line space, so taking a page never copies the store.
+    pages: Vec<Page>,
+    /// Per taken page, its index in `table`.
+    owners: Vec<u32>,
 }
+
+/// Lines per page.
+const PAGE_LINES: usize = 16;
+
+/// [`PAGE_LINES`] consecutive lines of one source.
+type Page = [TagLine; PAGE_LINES];
+
+const _: () = assert!(size_of::<Page>() == 256);
 
 /// One [`TagCache`] line: the destination and both epochs it was
 /// computed under, and the outcome — the REROUTE state bits, or
@@ -111,13 +134,11 @@ impl TagCache {
 
     /// Readies the cache for a run over `size` whose timeline holds
     /// `events` fail/repair events: cold for every lookup, with the
-    /// default repair mode. `on` is whether the run's policy consults
-    /// the cache; when it does not, the lines are kept as they are for a
-    /// later run that does.
+    /// default repair mode. `on` is whether the run's senders consult
+    /// the cache; an off cache is sized for nothing.
     ///
-    /// The map epoch moves past every epoch an earlier run stamped, so
-    /// lines left from it miss. They are zeroed only when this run's
-    /// failures could carry the epoch past `u32::MAX`.
+    /// The previous run's pages return to the store, which keeps its
+    /// room.
     ///
     /// # Panics
     ///
@@ -128,11 +149,11 @@ impl TagCache {
             !on || events < u32::MAX as usize,
             "{events} timeline events overflow the tag cache's 32-bit epochs"
         );
-        if events >= (u32::MAX - self.epoch) as usize {
-            self.lines.fill(TagLine::default());
-            self.epoch = 0;
+        for page in self.owners.drain(..) {
+            self.table[page as usize] = 0;
         }
-        self.epoch += 1;
+        self.pages.clear();
+        self.epoch = 1;
         self.repair_epoch = 0;
         self.repair = TagRepair::default();
         if !on {
@@ -140,11 +161,21 @@ impl TagCache {
             return;
         }
         self.slots = size.n().min(Self::MAX_SLOTS);
-        // Grow only: a line past this run's range is never indexed.
-        let lines = size.n() * self.slots;
-        if self.lines.len() < lines {
-            self.lines.resize(lines, TagLine::default());
-        }
+        let pages = (size.n() * self.slots).div_ceil(PAGE_LINES);
+        assert!(
+            pages < u32::MAX as usize,
+            "{pages} tag-cache pages overflow the 32-bit page table"
+        );
+        // Every entry is 0 here, so the table is fitted without a write.
+        crate::scratch::fit(&mut self.table, pages, 0);
+        crate::scratch::reserve_empty(&mut self.pages, pages);
+        crate::scratch::reserve_empty(&mut self.owners, pages);
+    }
+
+    /// Whether the run's senders consult the cache.
+    #[inline]
+    pub(crate) fn is_on(&self) -> bool {
+        self.slots != 0
     }
 
     #[inline]
@@ -154,7 +185,11 @@ impl TagCache {
 
     #[inline]
     pub(crate) fn lookup(&self, source: usize, dest: usize) -> Lookup {
-        let line = self.lines[self.line(source, dest)];
+        let line = self.line(source, dest);
+        let Some(page) = self.table[line / PAGE_LINES].checked_sub(1) else {
+            return Lookup::Miss;
+        };
+        let line = self.pages[page as usize][line % PAGE_LINES];
         if line.dest as usize != dest || line.epoch != self.epoch {
             return Lookup::Miss;
         }
@@ -169,12 +204,18 @@ impl TagCache {
     }
 
     /// Stores the outcome for `(source, dest)`: the tag's state bits, or
-    /// `None` for a refusal.
+    /// `None` for a refusal. The first store into a page takes it.
     #[inline]
     pub(crate) fn put(&mut self, source: usize, dest: usize, outcome: Option<u32>) {
         debug_assert_ne!(outcome, Some(Self::REFUSED), "state word hit the sentinel");
         let line = self.line(source, dest);
-        self.lines[line] = TagLine {
+        let entry = &mut self.table[line / PAGE_LINES];
+        if *entry == 0 {
+            self.pages.push([TagLine::default(); PAGE_LINES]);
+            self.owners.push((line / PAGE_LINES) as u32);
+            *entry = self.pages.len() as u32;
+        }
+        self.pages[*entry as usize - 1][line % PAGE_LINES] = TagLine {
             dest: dest as u32,
             epoch: self.epoch,
             repair: self.repair_epoch,
@@ -206,33 +247,33 @@ mod tests {
     use super::*;
     use iadm_check::Gen;
     use iadm_core::TsdtTag;
+    use std::collections::{HashMap, HashSet};
 
-    /// A reference-model line: `(dest, epoch, repair_epoch, outcome)`,
-    /// 56 bytes behind its `Option`.
+    /// A reference-model line: `(dest, epoch, repair_epoch, outcome)`.
     type WideLine = (u32, u64, u64, Option<TsdtTag>);
 
     /// The reference model: the cache as it was before its lines were
-    /// packed, with `Option` lines holding the outcome as an
-    /// `Option<TsdtTag>` and `u64` epochs starting at 0.
+    /// packed and paged, with lines holding the outcome as an
+    /// `Option<TsdtTag>` and `u64` epochs starting at 0, kept in a map
+    /// from line index to line.
     struct WideCache {
         size: Size,
         slots: usize,
         epoch: u64,
         repair_epoch: u64,
         repair: TagRepair,
-        lines: Vec<Option<WideLine>>,
+        lines: HashMap<usize, WideLine>,
     }
 
     impl WideCache {
         fn new(size: Size, repair: TagRepair) -> Self {
-            let slots = size.n().min(256);
             WideCache {
                 size,
-                slots,
+                slots: size.n().min(256),
                 epoch: 0,
                 repair_epoch: 0,
                 repair,
-                lines: vec![None; size.n() * slots],
+                lines: HashMap::new(),
             }
         }
 
@@ -241,8 +282,8 @@ mod tests {
         }
 
         fn lookup(&self, source: usize, dest: usize) -> Lookup {
-            match self.lines[self.line(source, dest)] {
-                Some((d, epoch, repaired, outcome))
+            match self.lines.get(&self.line(source, dest)) {
+                Some(&(d, epoch, repaired, outcome))
                     if d as usize == dest && epoch == self.epoch =>
                 {
                     if repaired == self.repair_epoch
@@ -260,7 +301,8 @@ mod tests {
         fn put(&mut self, source: usize, dest: usize, outcome: Option<u32>) {
             let tag = outcome.map(|bits| TsdtTag::with_state(self.size, dest, bits as usize));
             let line = self.line(source, dest);
-            self.lines[line] = Some((dest as u32, self.epoch, self.repair_epoch, tag));
+            self.lines
+                .insert(line, (dest as u32, self.epoch, self.repair_epoch, tag));
         }
     }
 
@@ -282,74 +324,103 @@ mod tests {
     }
 
     iadm_check::check! {
-        /// The packed cache answers every lookup exactly as the wide
+        /// The paged cache answers every lookup exactly as the wide
         /// reference does, after the same random sequence of puts
         /// (refusals, clean and bent tags), failures and repairs, under
-        /// both repair modes, at N = 8 (a line per destination) and
-        /// N = 512 (256 lines, so `d` and `d + 256` conflict). Cold
-        /// lines are read from the first operation on: a packed cache
-        /// whose map epoch started at 0 would hit them.
+        /// both repair modes. One cache serves bursts of operations at
+        /// N = 8 (a line per destination), 512 and 1024 (256 lines, so
+        /// `d` and `d + 256` conflict), in growing, shrinking or mixed
+        /// order, with a `prepare` before each burst; each burst is
+        /// checked against a new reference, from its first operation on,
+        /// so a line or page left by an earlier burst must read cold.
+        /// After each burst the cache holds no page it did not store to
+        /// in that burst: at most one per distinct line stored.
         fn packed_cache_equals_the_wide_reference(g; cases = 256) {
-            let size = Size::new(if g.bool_with(0.5) { 8 } else { 512 }).expect("power of two");
-            let n = size.n();
-            let repair = if g.bool_with(0.5) { TagRepair::Aware } else { TagRepair::Blind };
-            // A cache that served earlier runs, possibly at the other
-            // size, answers like a new one.
-            let mut packed = TagCache::default();
-            for _ in 0..g.usize_in(0..=2) {
-                let earlier = Size::new(if g.bool_with(0.5) { 8 } else { 512 }).expect("power of two");
-                let m = earlier.n();
-                packed.prepare(earlier, 0, true);
-                for _ in 0..g.usize_in(0..=50) {
-                    let (source, dest) = (g.usize_in(0..=m - 1), g.usize_in(0..=m - 1));
-                    packed.put(source, dest, Some(g.u32_in(0..=m as u32 - 1)));
-                    if g.bool_with(0.1) {
-                        packed.invalidate_all();
-                    }
-                }
+            let mut sizes: Vec<usize> = (0..g.usize_in(1..=4))
+                .map(|_| [8, 512, 1024][g.usize_in(0..=2)])
+                .collect();
+            match g.usize_in(0..=2) {
+                0 => sizes.sort_unstable(),
+                1 => sizes.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => {}
             }
-            packed.prepare(size, 0, true);
-            packed.repair = repair;
-            let mut wide = WideCache::new(size, repair);
-            for _ in 0..g.usize_in(1..=200) {
-                let source = pick(g, n);
-                // `dest mod 256` collides between the hot destinations.
-                let dest = (pick(g, n) + 256 * g.usize_in(0..=1)) % n;
-                match g.u32_in(0..=9) {
-                    0..=3 => iadm_check::check_assert_eq!(
-                        packed.lookup(source, dest),
-                        wide.lookup(source, dest),
-                        "lookup({source}, {dest})"
-                    ),
-                    4..=6 => {
-                        let outcome = match g.u32_in(0..=2) {
-                            0 => None,
-                            1 => Some(0),
-                            _ => Some(g.u32_in(1..=n as u32 - 1)),
-                        };
-                        packed.put(source, dest, outcome);
-                        wide.put(source, dest, outcome);
-                    }
-                    7 => {
-                        packed.invalidate_all();
-                        wide.epoch += 1;
-                    }
-                    _ => {
-                        packed.note_repair();
-                        if wide.repair == TagRepair::Aware {
-                            wide.repair_epoch += 1;
+            let mut packed = TagCache::default();
+            for n in sizes {
+                let size = Size::new(n).expect("power of two");
+                let repair = if g.bool_with(0.5) { TagRepair::Aware } else { TagRepair::Blind };
+                packed.prepare(size, 0, true);
+                packed.repair = repair;
+                let mut wide = WideCache::new(size, repair);
+                let mut stored = HashSet::new();
+                for _ in 0..g.usize_in(1..=200) {
+                    let source = pick(g, n);
+                    // `dest mod 256` collides between the hot destinations.
+                    let dest = (pick(g, n) + 256 * g.usize_in(0..=1)) % n;
+                    match g.u32_in(0..=9) {
+                        0..=3 => iadm_check::check_assert_eq!(
+                            packed.lookup(source, dest),
+                            wide.lookup(source, dest),
+                            "N={n} lookup({source}, {dest})"
+                        ),
+                        4..=6 => {
+                            let outcome = match g.u32_in(0..=2) {
+                                0 => None,
+                                1 => Some(0),
+                                _ => Some(g.u32_in(1..=n as u32 - 1)),
+                            };
+                            packed.put(source, dest, outcome);
+                            wide.put(source, dest, outcome);
+                            stored.insert(wide.line(source, dest));
+                        }
+                        7 => {
+                            packed.invalidate_all();
+                            wide.epoch += 1;
+                        }
+                        _ => {
+                            packed.note_repair();
+                            if wide.repair == TagRepair::Aware {
+                                wide.repair_epoch += 1;
+                            }
                         }
                     }
                 }
+                iadm_check::check_assert!(
+                    packed.pages.len() <= stored.len(),
+                    "N={n}: {} pages held for {} lines stored",
+                    packed.pages.len(),
+                    stored.len()
+                );
             }
         }
     }
 
     #[test]
-    fn lines_hold_16_bytes_per_slot() {
-        let lines = |n| cold(Size::new(n).unwrap(), 0).lines.len() * size_of::<TagLine>();
-        assert_eq!(lines(1024), 4 << 20);
-        assert_eq!(lines(8192), 32 << 20);
+    fn a_run_holds_256_bytes_per_page_it_stores_to() {
+        // Only the page table is written up front: 4 bytes per page of
+        // the line space, 64 KiB at N = 1024 and 512 KiB at N = 8192.
+        let table = |n| cold(Size::new(n).unwrap(), 0).table.len() * size_of::<u32>();
+        assert_eq!(table(1024), 64 << 10);
+        assert_eq!(table(8192), 512 << 10);
+        let mut cache = cold(Size::new(8192).unwrap(), 0);
+        assert!(cache.pages.is_empty());
+        // Lines of one source share a page until its 16 lines run out.
+        cache.put(5, 0, Some(1));
+        cache.put(5, 15, None);
+        assert_eq!(cache.pages.len(), 1);
+        cache.put(5, 16, Some(0));
+        cache.put(6, 0, Some(0));
+        assert_eq!(cache.pages.len() * size_of::<Page>(), 3 * 256);
+        assert_eq!(cache.lookup(5, 15), Lookup::Hit(None));
+        assert_eq!(
+            cache.lookup(5, 14),
+            Lookup::Miss,
+            "a cold line of a taken page"
+        );
+        assert_eq!(
+            cache.lookup(7, 0),
+            Lookup::Miss,
+            "a line of an untaken page"
+        );
     }
 
     #[test]
@@ -359,36 +430,54 @@ mod tests {
     }
 
     #[test]
-    fn lines_are_rezeroed_only_when_the_epoch_budget_runs_out() {
+    fn the_epoch_budget_admits_u32_max_minus_one_events() {
+        // Every run starts at epoch 1, so `u32::MAX - 1` failures take
+        // the map epoch to `u32::MAX` and no further.
         let size = Size::new(8).unwrap();
-        let mut cache = cold(size, 0);
-        cache.put(1, 2, Some(3));
-        // Enough budget: the epoch moves on and the line stays written.
-        cache.epoch = u32::MAX - 11;
-        cache.prepare(size, 10, true);
-        assert_eq!(cache.epoch, u32::MAX - 10);
-        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
-        assert_ne!(cache.lines[cache.line(1, 2)].epoch, 0);
-        // One event more than the budget: every line back to zero.
-        cache.put(1, 2, Some(3));
-        cache.prepare(size, 10, true);
+        let mut cache = cold(size, u32::MAX as usize - 1);
         assert_eq!(cache.epoch, 1);
-        assert!(cache.lines.iter().all(|l| l.epoch == 0 && l.dest == 0));
+        // The state after all but the last of those failures.
+        cache.epoch = u32::MAX - 1;
+        cache.put(1, 2, Some(3));
+        assert_eq!(cache.lookup(1, 2), Lookup::Hit(Some(3)));
+        cache.invalidate_all();
+        assert_eq!(cache.epoch, u32::MAX);
+        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
+        cache.put(1, 2, None);
+        assert_eq!(cache.lookup(1, 2), Lookup::Hit(None));
+        // The next run starts over, with its pages cold.
+        cache.prepare(size, u32::MAX as usize - 1, true);
+        assert_eq!(cache.epoch, 1);
         assert_eq!(cache.lookup(1, 2), Lookup::Miss);
     }
 
     #[test]
-    fn a_cache_the_policy_does_not_consult_keeps_lines_that_only_miss() {
+    fn a_runs_pages_return_at_the_next_prepare_and_keep_their_room() {
         let size = Size::new(1024).unwrap();
         let mut cache = cold(size, 0);
-        cache.put(1, 2, Some(3));
-        // A run that does not consult the cache keeps its lines...
+        for source in 0..64 {
+            cache.put(source, 2, Some(3));
+        }
+        let (room, store) = (cache.pages.capacity(), cache.pages.as_ptr());
+        assert_eq!(room, 1024 * 256 / PAGE_LINES, "reserved for the line space");
+        // A run that does not consult the cache takes the pages back,
+        // clears the table entries they held and frees nothing...
         cache.prepare(size, 5, false);
-        assert_eq!(cache.lines.len(), 4 << 16);
-        // ...and the next run that does finds them stale.
+        assert!(!cache.is_on());
+        assert!(cache.pages.is_empty() && cache.owners.is_empty());
+        assert!(cache.table.iter().all(|&entry| entry == 0));
+        assert_eq!(cache.pages.capacity(), room);
+        // ...and the next run that does finds them cold and refills the
+        // same store from its start, as does a smaller run.
         cache.prepare(size, 5, true);
         assert_eq!(cache.lookup(1, 2), Lookup::Miss);
-        // An off cache accepts any timeline; the epoch budget still holds.
+        cache.put(1, 2, Some(0));
+        assert_eq!(cache.pages.len(), 1);
+        assert_eq!(cache.pages.as_ptr(), store);
+        cache.prepare(Size::new(8).unwrap(), 0, true);
+        assert_eq!(cache.lookup(1, 2), Lookup::Miss);
+        assert_eq!(cache.pages.as_ptr(), store);
+        // An off cache accepts any timeline.
         cache.prepare(size, u32::MAX as usize, false);
         assert_eq!(cache.epoch, 1);
     }

@@ -1355,8 +1355,10 @@ mod tests {
 
     #[test]
     fn networks_too_large_for_32_bit_link_indices_are_rejected() {
+        // One packet per link keeps the queue slots at the link count.
         let mut spec = SweepSpec {
             sizes: vec![1 << 25],
+            queue_capacities: vec![1],
             ..SweepSpec::default()
         };
         assert!(spec.expand().is_ok());

@@ -20,6 +20,9 @@ for spec in e13 e19 e20; do
 done
 cargo fmt --all --check
 cargo clippy -q --offline --all-targets -- -D warnings
+# The self-timed bench bodies compile only behind `bench-inline`; a plain
+# build sees their stubs, so type-check the real bodies here.
+cargo check -q --offline -p iadm-bench --benches --features bench-inline
 # Every intra-doc link must resolve: a deleted or private item named in
 # public docs fails here instead of rendering as dead text.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
